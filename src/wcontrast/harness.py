@@ -4,8 +4,9 @@ A study draws R paired samples, computes the scaled contrast statistic per
 replication, simulates the corresponding limit law once, and reports the
 two-sample Kolmogorov-Smirnov distance between the R statistics and the
 simulated draws. Everything is deterministic given the master seed:
-replication i uses a generator derived from (seed, "rep", i) and draw j
-from (seed, "draw", j), so results are identical for any worker count.
+replication i uses a generator derived from (seed, "rep", i) and the limit
+draws one stream derived from (seed, "draws"), so results are identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -255,8 +256,8 @@ def run_clt_study(config: ExperimentConfig, threads: int = 1) -> StudyResult:
 
 def ingest_csv(path) -> PairedSample:
     """Two-column CSV (x,y per row, '.' decimal separator); a header row is
-    auto-detected when its first row is non-numeric. Malformed rows fail
-    with their line number.
+    auto-detected when its first row is non-numeric. Malformed rows and
+    non-finite values (nan, inf) fail with their line number.
     """
     xs, ys = [], []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -277,6 +278,8 @@ def ingest_csv(path) -> PairedSample:
                 raise ValidationError(
                     f"{path}: line {lineno}: could not parse {row!r} as two numbers"
                 ) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValidationError(f"{path}: line {lineno}: non-finite value in {row!r}")
             xs.append(x)
             ys.append(y)
     if not xs:

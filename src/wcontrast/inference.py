@@ -26,10 +26,10 @@ from .costs import CostSpec, rate_vn
 from .distributions import DistSpec, PairSpec, equal_pair
 from .errors import HypothesisError, ValidationError
 from .estimator import PairedSample, w_cost_empirical
-from .limitlaw import (THEOREM_EQUAL, THEOREM_MIXED, THEOREM_ONE_SAMPLE,
-                       THEOREM_QUADRATIC, LimitDraws, build_bridge_grid,
-                       draw_limit_E, draw_limit_ED, draw_limit_one_sample,
-                       draw_limit_W2, sigma2_D)
+from .limitlaw import (THEOREM_EQUAL, THEOREM_ONE_SAMPLE, THEOREM_QUADRATIC,
+                       LimitDraws, build_bridge_grid, draw_limit_E,
+                       draw_limit_ED, draw_limit_one_sample, draw_limit_W2,
+                       sigma2_D)
 
 __all__ = [
     "TestResult",
@@ -37,7 +37,6 @@ __all__ = [
     "gof_test",
     "clt_alternative_distribution",
     "wp_distance_to_dist",
-    "clear_limit_cache",
 ]
 
 _DEFAULT_LEVEL = 0.05
@@ -71,39 +70,22 @@ class TestResult:
         }
 
 
-# limit draws are expensive; cache by (pair, cost, grid, n_sim, seed, kind)
-_LIMIT_CACHE: dict = {}
-
-
-def clear_limit_cache() -> None:
-    _LIMIT_CACHE.clear()
-
-
-def _cached_draws(kind: str, pair: PairSpec, cost: Optional[CostSpec],
-                  grid_shape: tuple, n_sim: int, seed: int, p: float = 0.0,
-                  tail_frac: Optional[float] = None) -> LimitDraws:
-    key = (kind, pair.fingerprint(), cost.name if cost is not None else "-",
-           grid_shape, n_sim, seed, p)
-    if key in _LIMIT_CACHE:
-        return _LIMIT_CACHE[key]
+def _simulate_null(kind: str, pair: PairSpec, cost: Optional[CostSpec],
+                   grid_shape: tuple, n_sim: int, seed: int, p: float = 0.0,
+                   tail_frac: Optional[float] = None) -> LimitDraws:
+    """Null limit draws for a test, simulated afresh on every call."""
     m, delta = grid_shape
     grid = build_bridge_grid(pair, m=m, delta=delta)
     if kind == THEOREM_EQUAL:
-        draws = draw_limit_E(pair, cost, grid, n_sim, seed,
+        return draw_limit_E(pair, cost, grid, n_sim, seed,
+                            tail_frac=tail_frac, require_checks=False)
+    if kind == THEOREM_QUADRATIC:
+        return draw_limit_W2(pair, grid, n_sim, seed,
                              tail_frac=tail_frac, require_checks=False)
-    elif kind == THEOREM_QUADRATIC:
-        draws = draw_limit_W2(pair, grid, n_sim, seed,
-                              tail_frac=tail_frac, require_checks=False)
-    elif kind == THEOREM_MIXED:
-        draws = draw_limit_ED(pair, cost, grid, n_sim, seed,
-                              tail_frac=tail_frac, require_checks=False)
-    elif kind == THEOREM_ONE_SAMPLE:
-        draws = draw_limit_one_sample(pair.dist_x, p, grid, n_sim, seed,
-                                      tail_frac=tail_frac, require_checks=False)
-    else:
-        raise ValidationError(f"unknown limit kind {kind!r}")
-    _LIMIT_CACHE[key] = draws
-    return draws
+    if kind == THEOREM_ONE_SAMPLE:
+        return draw_limit_one_sample(pair.dist_x, p, grid, n_sim, seed,
+                                     tail_frac=tail_frac, require_checks=False)
+    raise ValidationError(f"unknown limit kind {kind!r}")
 
 
 def _is_quadratic_near_zero(cost: CostSpec) -> bool:
@@ -171,8 +153,8 @@ def two_sample_test(sample: PairedSample, null_pair: PairSpec, cost: CostSpec,
     statistic = w_cost_empirical(sample, cost)
     scaled = scale * statistic
     if sim is None:
-        sim = _cached_draws(kind, null_pair, cost, grid, n_sim, seed,
-                            tail_frac=tail_frac)
+        sim = _simulate_null(kind, null_pair, cost, grid, n_sim, seed,
+                             tail_frac=tail_frac)
     p_value = sim.upper_tail_p(scaled)
     return TestResult(
         statistic=statistic,
@@ -257,8 +239,8 @@ def gof_test(xs, null_dist: DistSpec, p: float = 1.0,
     statistic = wp_distance_to_dist(xs, null_dist, p)
     scaled = n ** (p / 2.0) * statistic
     if sim is None:
-        sim = _cached_draws(THEOREM_ONE_SAMPLE, equal_pair(null_dist), None,
-                            grid, n_sim, seed, p=p, tail_frac=tail_frac)
+        sim = _simulate_null(THEOREM_ONE_SAMPLE, equal_pair(null_dist), None,
+                             grid, n_sim, seed, p=p, tail_frac=tail_frac)
     p_value = sim.upper_tail_p(scaled)
     return TestResult(
         statistic=statistic,

@@ -44,6 +44,12 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 _FROBENIUS_RTOL = 1e-6
 _DEGENERATE_VAR = 1e-12
 _DEFAULT_TAIL_FRAC = 0.05
+_PROBE_SEED = 0            # fixed probe vectors of the closed-form residual
+_N_PROBES = 4
+
+FACTOR_CLOSED_FORM = "closed-form"   # O(m) factor, independent / comonotone
+FACTOR_DENSE = "dense"               # 2m x 2m Cholesky, general copulas
+RNG_SCHEME = "stream-v2"             # one derive_rng(seed, "draws") stream per call
 
 THEOREM_EQUAL = "equal"            # quantiles agree everywhere, rate v_n
 THEOREM_QUADRATIC = "quadratic"    # b = 2 regime, rate n
@@ -54,16 +60,29 @@ THEOREM_ONE_SAMPLE = "one_sample"  # single marginal against its own law
 
 @dataclass(frozen=True)
 class BridgeGrid:
-    """Factorized joint covariance of the two bridges on a clipped grid."""
+    """Factorized joint covariance of the two bridges on a clipped grid.
+
+    Independent and comonotone couplings use the closed-form Cholesky
+    factor of the bridge kernel K(u,v) = min(u,v) - uv: ``factor`` holds
+    ``coef`` with L[k,j] = (1 - u_k) coef_j for j <= k. The Y bridge has
+    its own normals (independent) or is the X bridge itself (comonotone),
+    and ``frobenius_rel_err`` is a residual on fixed probe vectors. Any
+    other copula stores the dense lower-triangular factor of the 2m x 2m
+    joint covariance, and ``frobenius_rel_err`` is its Frobenius residual.
+    """
 
     u: np.ndarray
     delta: float
-    factor: np.ndarray           # lower-triangular, shape (2m, 2m)
+    factor: np.ndarray           # closed-form: coef, shape (m,); dense: (2m, 2m)
+    factor_kind: str             # FACTOR_CLOSED_FORM | FACTOR_DENSE
+    coupling: str
     jitter: float
     h_x: np.ndarray
     h_y: np.ndarray
     weights: np.ndarray          # trapezoid weights on the grid
     var_bridge_diag: np.ndarray  # Var(Bq(u)) from the pre-jitter covariance
+    # dense: ||F F^T - Sigma||_F / ||Sigma||_F; closed-form: the probe
+    # residual max_x ||L(L^T x) - K x|| / ||K x||
     frobenius_rel_err: float
     pair_fingerprint: str
 
@@ -76,10 +95,23 @@ class BridgeGrid:
         """True when the driving process is almost surely 0 on the grid."""
         return bool(np.max(self.var_bridge_diag) <= _DEGENERATE_VAR)
 
+    def bridges(self, z: np.ndarray):
+        """Map standard normals z of shape (2m, k) to the bridge blocks
+        (B^X, B^Y), each of shape (m, k)."""
+        m = self.m
+        if self.factor_kind == FACTOR_DENSE:
+            paths = self.factor @ z
+            return paths[:m], paths[m:]
+        bx = _markov_bridge(self.u, self.factor, z[:m])
+        by = bx if self.coupling == "comonotone" else _markov_bridge(self.u, self.factor, z[m:])
+        return bx, by
+
     def summary(self) -> dict:
         return {
             "m": self.m,
             "delta": self.delta,
+            "factor": self.factor_kind,
+            "rng": RNG_SCHEME,
             "jitter": self.jitter,
             "frobenius_rel_err": self.frobenius_rel_err,
             "degenerate": self.degenerate,
@@ -110,9 +142,14 @@ class LimitDraws:
 
 
 def build_bridge_grid(pair: PairSpec, m: int = 2047, delta: float = 1e-4) -> BridgeGrid:
-    """Assemble and factorize the 2m x 2m joint covariance on the
-    delta-clipped equispaced grid, escalating diagonal jitter
-    (0, 1e-12, 1e-10, 1e-8) until the Cholesky factorization succeeds.
+    """Factorize the joint covariance of the two bridges on the
+    delta-clipped equispaced grid.
+
+    Independent and comonotone couplings get the closed-form O(m) factor
+    of the bridge kernel, checked by a probe residual. Any other copula
+    assembles and factorizes the 2m x 2m joint covariance, escalating
+    diagonal jitter (0, 1e-12, 1e-10, 1e-8) until the Cholesky
+    factorization succeeds, and checks it by its Frobenius residual.
     """
     if m < 1:
         raise ValidationError("bridge grid requires m >= 1")
@@ -120,21 +157,73 @@ def build_bridge_grid(pair: PairSpec, m: int = 2047, delta: float = 1e-4) -> Bri
         raise ValidationError("bridge grid requires 0 < delta < 1/2")
     u = np.linspace(delta, 1.0 - delta, m) if m >= 2 else np.array([0.5])
 
-    K = np.minimum.outer(u, u) - np.outer(u, u)
-    if pair.coupling.kind == "independent":
-        cross = np.zeros_like(K)
-    elif pair.coupling.kind == "comonotone":
-        cross = K.copy()
-    else:
-        cross = np.asarray(pair.coupling.copula(u[:, None], u[None, :]), dtype=float) \
-            - np.outer(u, u)
-
     h_x = np.asarray(pair.dist_x.density_quantile(u), dtype=float)
     h_y = np.asarray(pair.dist_y.density_quantile(u), dtype=float)
     for name, h in (("X", h_x), ("Y", h_y)):
         if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
             raise ValidationError(f"density-quantile of marginal {name} must be positive "
                                   "and finite on the grid")
+
+    kind = pair.coupling.kind
+    diag_k = u - u * u
+    if kind in ("independent", "comonotone"):
+        factor_kind, jitter_used = FACTOR_CLOSED_FORM, 0.0
+        factor, resid = _closed_form_factor(u)
+        cross_diag = diag_k if kind == "comonotone" else np.zeros(m)
+    else:
+        factor_kind = FACTOR_DENSE
+        factor, jitter_used, resid, cross_diag = _dense_factor(pair, u)
+
+    if m >= 2:
+        step = u[1] - u[0]
+        weights = np.full(m, step)
+        weights[0] = weights[-1] = step / 2.0
+    else:
+        weights = np.array([1.0 - 2.0 * delta])
+
+    var_diag = diag_k / h_x ** 2 + diag_k / h_y ** 2 - 2.0 * cross_diag / (h_x * h_y)
+    return BridgeGrid(
+        u=u, delta=delta, factor=factor, factor_kind=factor_kind, coupling=kind,
+        jitter=jitter_used, h_x=h_x, h_y=h_y, weights=weights,
+        var_bridge_diag=np.maximum(var_diag, 0.0),
+        frobenius_rel_err=resid,
+        pair_fingerprint=pair.fingerprint(),
+    )
+
+
+def _markov_bridge(u: np.ndarray, coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """L @ z for the closed-form factor L[k,j] = (1 - u_k) coef_j, j <= k."""
+    return (1.0 - u)[:, None] * np.cumsum(coef[:, None] * z, axis=0)
+
+
+def _closed_form_factor(u: np.ndarray):
+    """Cholesky factor of K(u_i,u_j) = u_i (1 - u_j), u_i <= u_j: with
+    s = u/(1-u), coef_j^2 = s_j - s_{j-1} (s_{-1} = 0), written without the
+    cancellation. Returns (coef, probe residual)."""
+    prev = np.concatenate(([0.0], u[:-1]))
+    coef = np.sqrt((u - prev) / ((1.0 - u) * (1.0 - prev)))
+
+    x = np.random.default_rng(_PROBE_SEED).standard_normal((len(u), _N_PROBES))
+    # (K x)_i = (1-u_i) sum_{j<=i} u_j x_j + u_i sum_{j>i} (1-u_j) x_j
+    tail = np.cumsum(((1.0 - u)[:, None] * x)[::-1], axis=0)[::-1]
+    above = np.zeros_like(x)
+    above[:-1] = tail[1:]
+    kx = (1.0 - u)[:, None] * np.cumsum(u[:, None] * x, axis=0) + u[:, None] * above
+    llt_x = _markov_bridge(u, coef, coef[:, None] * tail)    # L^T x = coef * tail
+    resid = float(np.max(np.linalg.norm(llt_x - kx, axis=0) / np.linalg.norm(kx, axis=0)))
+    if not resid <= _FROBENIUS_RTOL:
+        raise NumericalError(f"closed-form factor reproduces the covariance to {resid:.3g} "
+                             f"> {_FROBENIUS_RTOL:g} (probe residual)")
+    return coef, resid
+
+
+def _dense_factor(pair: PairSpec, u: np.ndarray):
+    """Dense Cholesky factor of the 2m x 2m joint covariance for a general
+    copula. Returns (factor, jitter, Frobenius residual, cross diagonal)."""
+    m = len(u)
+    K = np.minimum.outer(u, u) - np.outer(u, u)
+    cross = np.asarray(pair.coupling.copula(u[:, None], u[None, :]), dtype=float) \
+        - np.outer(u, u)
 
     two_m = 2 * m
     sigma = np.empty((two_m, two_m))
@@ -163,41 +252,21 @@ def build_bridge_grid(pair: PairSpec, m: int = 2047, delta: float = 1e-4) -> Bri
     if frob > _FROBENIUS_RTOL:
         raise NumericalError(f"factor reproduces the covariance to {frob:.3g} > "
                              f"{_FROBENIUS_RTOL:g} (Frobenius relative)")
-
-    if m >= 2:
-        step = u[1] - u[0]
-        weights = np.full(m, step)
-        weights[0] = weights[-1] = step / 2.0
-    else:
-        weights = np.array([1.0 - 2.0 * delta])
-
-    var_diag = (np.diag(K) / h_x ** 2 + np.diag(K) / h_y ** 2
-                - 2.0 * np.diag(cross) / (h_x * h_y))
-    return BridgeGrid(
-        u=u, delta=delta, factor=factor, jitter=jitter_used,
-        h_x=h_x, h_y=h_y, weights=weights,
-        var_bridge_diag=np.maximum(var_diag, 0.0),
-        frobenius_rel_err=frob,
-        pair_fingerprint=pair.fingerprint(),
-    )
+    return factor, jitter_used, frob, np.diag(cross)
 
 
 def iter_bridge_paths(grid: BridgeGrid, n_sim: int, seed: int, chunk: int = 512):
     """Yield (B^X, B^Y) blocks of shape (m, k).
 
-    Column j of a block is driven by a generator derived from
-    (seed, "draw", global draw index), so results do not depend on the
-    chunking or on any parallel execution layout.
+    Every draw comes from one generator, derive_rng(seed, "draws"), read
+    as (k, 2m) blocks in row-major order: draw j takes normals
+    2mj .. 2m(j+1) - 1 of the stream, so the paths do not depend on the
+    chunking. Both factor kinds map the normals through ``grid.bridges``.
     """
-    m = grid.m
+    rng = derive_rng(seed, "draws")
     for start in range(0, n_sim, chunk):
         k = min(chunk, n_sim - start)
-        z = np.empty((2 * m, k))
-        for j in range(k):
-            rng = derive_rng(seed, "draw", start + j)
-            z[:, j] = rng.standard_normal(2 * m)
-        paths = grid.factor @ z
-        yield paths[:m, :], paths[m:, :]
+        yield grid.bridges(rng.standard_normal((k, 2 * grid.m)).T)
 
 
 def _driving_process(grid: BridgeGrid, bx: np.ndarray, by: np.ndarray) -> np.ndarray:

@@ -137,3 +137,10 @@ def test_ragged_csv_exit_code(tmp_path):
     path.write_text("1.0,2.0\n3.0\n")
     rc = main(["estimate", "--data", str(path), "--cost", '{"family":"power","p":1}'])
     assert rc == 2
+
+
+def test_non_finite_csv_exit_code(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("1.0,2.0\n3.0,4.0\nnan,1.0\n")
+    rc = main(["estimate", "--data", str(path), "--cost", '{"family":"power","p":1}'])
+    assert rc == 2

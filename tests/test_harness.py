@@ -114,6 +114,14 @@ def test_ingest_csv_non_numeric(tmp_path):
         wc.ingest_csv(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_ingest_csv_non_finite(tmp_path, token):
+    path = tmp_path / "d.csv"
+    path.write_text(f"x,y\n1.0,2.0\n{token},1.0\n")
+    with pytest.raises(ValidationError, match="line 3: non-finite"):
+        wc.ingest_csv(path)
+
+
 def test_load_config_roundtrip(tmp_path):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(

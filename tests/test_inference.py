@@ -32,6 +32,25 @@ def test_identical_samples_p_value_one(gauss_equal_pair, null_draws_p15):
     assert not res.reject
 
 
+def test_custom_copula_nulls_do_not_alias():
+    # two custom couplings share one fingerprint; each test must simulate
+    # its own null (a comonotone null is degenerate at 0, an independent
+    # one is not), whatever ran before it with the same seed
+    g = wc.gaussian()
+    sample = wc.sample_pairs(wc.equal_pair(g), 500, seed=31)
+    cost = wc.power_cost(1.5)
+    results = {}
+    for name, copula in (("comonotone", np.minimum), ("independent", np.multiply)):
+        null = wc.equal_pair(g, wc.custom_coupling(copula))
+        results[name] = wc.two_sample_test(sample, null, cost, n_sim=400, seed=5,
+                                           grid=(63, 1e-3))
+    como, indep = results["comonotone"], results["independent"]
+    assert all(v == 0.0 for v in como.critical_values.values())
+    assert all(v > 0.0 for v in indep.critical_values.values())
+    assert como.p_value == pytest.approx(1 / 401)
+    assert indep.p_value > 0.05
+
+
 def test_alternative_rejects(gauss_equal_pair, gauss_shift_pair, null_draws_p15):
     sample = wc.sample_pairs(gauss_shift_pair, 2000, seed=5)
     res = wc.two_sample_test(sample, gauss_equal_pair, wc.power_cost(1.5),

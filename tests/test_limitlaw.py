@@ -35,14 +35,59 @@ def test_single_point_grid_variance(gauss_equal_pair):
     assert vals.var() == pytest.approx(0.25, rel=0.05)
 
 
+def _generator_factor(grid):
+    """The 2m x 2m factor the path generator applies, from the unit vectors."""
+    return np.vstack(grid.bridges(np.eye(2 * grid.m)))
+
+
+def _dense_cholesky(pair, grid):
+    """Cholesky factor of the 2m x 2m joint covariance, computed densely.
+
+    A comonotone Sigma = [[K, K], [K, K]] is singular: its Schur complement
+    is 0, so its exact factor is [[C, 0], [C, 0]] with C = chol(K)."""
+    u, m = grid.u, grid.m
+    K = np.minimum.outer(u, u) - np.outer(u, u)
+    zero = np.zeros_like(K)
+    if pair.coupling.kind == "independent":
+        return np.linalg.cholesky(np.block([[K, zero], [zero, K]]))
+    C = np.linalg.cholesky(K)
+    factor = np.block([[C, zero], [C, zero]])
+    assert np.allclose(factor @ factor.T, np.block([[K, K], [K, K]]), rtol=0, atol=1e-14)
+    return factor
+
+
+@pytest.mark.parametrize("m", [1, 32, 511])
+@pytest.mark.parametrize("which", ["independent", "comonotone-bump"])
+def test_closed_form_paths_equal_dense_cholesky(m, which, gauss_equal_pair,
+                                                bump_pair_comonotone):
+    pair = gauss_equal_pair if which == "independent" else bump_pair_comonotone
+    grid = wc.build_bridge_grid(pair, m=m, delta=1e-4)
+    assert grid.summary()["factor"] == "closed-form"
+    assert grid.jitter == 0.0
+    z = np.random.default_rng(m).standard_normal((2 * m, 8))
+    dense = _dense_cholesky(pair, grid) @ z
+    closed = np.vstack(grid.bridges(z))
+    assert np.linalg.norm(closed - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def test_summary_records_factor_and_rng(gauss_equal_pair):
+    copula_pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5))
+    for pair, kind in ((gauss_equal_pair, "closed-form"), (copula_pair, "dense")):
+        meta = wc.build_bridge_grid(pair, m=16, delta=1e-3).summary()
+        assert meta["factor"] == kind
+        assert meta["rng"] == "stream-v2"
+
+
 def test_cross_block_independent_and_comonotone(gauss_equal_pair):
     m = 32
     grid = wc.build_bridge_grid(gauss_equal_pair, m=m, delta=1e-3)
-    sigma = grid.factor @ grid.factor.T
+    factor = _generator_factor(grid)
+    sigma = factor @ factor.T
     assert np.allclose(sigma[:m, m:], 0.0, atol=1e-9)
     pair_c = wc.equal_pair(wc.gaussian(), wc.comonotone())
     grid_c = wc.build_bridge_grid(pair_c, m=m, delta=1e-3)
-    sigma_c = grid_c.factor @ grid_c.factor.T
+    factor_c = _generator_factor(grid_c)
+    sigma_c = factor_c @ factor_c.T
     bridge = np.minimum.outer(grid_c.u, grid_c.u) - np.outer(grid_c.u, grid_c.u)
     assert np.allclose(sigma_c[:m, m:], bridge, atol=1e-8)
 
@@ -52,7 +97,7 @@ def test_comonotone_equal_paths_coincide():
     grid = wc.build_bridge_grid(pair, m=64, delta=1e-3)
     assert grid.degenerate
     for bx, by in iter_bridge_paths(grid, 50, seed=9):
-        assert np.max(np.abs(bx - by)) < 1e-4   # up to factor tolerance (jitter)
+        assert np.array_equal(bx, by)
 
 
 def test_independent_cross_correlation_near_zero(gauss_equal_pair):
@@ -264,5 +309,5 @@ def test_draws_reproducible(gauss_equal_pair):
     # chunking must not matter
     c_small = [bx for bx, _ in iter_bridge_paths(grid, 40, seed=77, chunk=7)]
     c_big = [bx for bx, _ in iter_bridge_paths(grid, 40, seed=77, chunk=40)]
-    assert np.allclose(np.concatenate(c_small, axis=1),
-                       np.concatenate(c_big, axis=1))
+    assert np.array_equal(np.concatenate(c_small, axis=1),
+                          np.concatenate(c_big, axis=1))
