@@ -311,16 +311,13 @@ def _cfg_d_derivative_combo(dist: DistSpec, marg: str, cost: CostSpec, side: str
     y_lo = max(y0_l + 0.5, 1.0)
     ys = probe_grid(y_lo, max(y_hi, 10 * y_lo), n_probe)
 
-    def psi_of_l_inv(y_arr):
-        out = np.empty_like(y_arr)
-        for i, y in enumerate(y_arr):
-            xi = cost.l_inverse_log(branch, float(y))
-            out[i] = dist.psi_of_log_position(side, xi)
-        return out
-
+    # l^{-1} is a scalar root solve per probe; psi is one call on both
+    # finite-difference grids
     dy = fd_step * ys
+    xi = [cost.l_inverse_log(branch, float(y)) for y in np.concatenate([ys + dy, ys - dy])]
+    psi_up, psi_down = np.split(dist.psi_of_log_position(side, np.array(xi)), 2)
     with np.errstate(invalid="ignore"):
-        deriv = (psi_of_l_inv(ys + dy) - psi_of_l_inv(ys - dy)) / (2 * dy)
+        deriv = (psi_up - psi_down) / (2 * dy)
     # an infinite psi value past a finite probe means the tail is already
     # exhausted there: the growth condition holds with infinite slack
     deriv = np.where(np.isnan(deriv) | np.isinf(deriv), np.inf, deriv)

@@ -131,7 +131,7 @@ def _cmd_simulate_limit(args) -> int:
 def _cmd_study(args) -> int:
     config = load_config(args.config, seed_override=args.seed,
                          out_override=args.out)
-    result = run_clt_study(config, threads=args.threads)
+    result = run_clt_study(config)
     out_dir = config.out or "."
     paths = emit_study(result, out_dir)
     print(json.dumps({"ks_distance": result.ks_distance,
@@ -180,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--config", required=True)
     p_study.add_argument("--seed", type=int, default=None)
     p_study.add_argument("--out", default=None)
-    p_study.add_argument("--threads", type=int, default=1)
     p_study.set_defaults(fn=_cmd_study)
     return parser
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import stats
 from scipy.optimize import brentq
-from scipy.special import roots_legendre
+from scipy.special import ndtri_exp, roots_legendre
 
 from .errors import DomainError, ValidationError
 from .seeding import derive_rng
@@ -258,9 +258,21 @@ def gaussian(loc: float = 0.0, scale: float = 1.0) -> DistSpec:
     if scale <= 0:
         raise ValidationError(f"gaussian requires scale > 0; got {scale}")
     frozen = stats.norm(loc, scale)
+    log_norm = 0.5 * math.log(2.0 * math.pi) + math.log(scale)
+
+    def depth_z(t):
+        # standard normal position whose upper tail mass is exp(-t)
+        return -ndtri_exp(-np.asarray(t, dtype=float))
+
+    def log_f(t):
+        return -0.5 * depth_z(t) ** 2 - log_norm
+
     return dist_from_scipy(
         f"gaussian({loc:g},{scale:g})", frozen,
         params={"family": "gaussian", "loc": loc, "scale": scale},
+        tail_quantile_fn={RIGHT: lambda t: loc + scale * depth_z(t),
+                          LEFT: lambda t: loc - scale * depth_z(t)},
+        log_density_at_depth_fn={RIGHT: log_f, LEFT: log_f},
     )
 
 
@@ -482,6 +494,30 @@ def warped_dist(base: DistSpec, warp: Callable, dwarp: Callable,
             return np.where(x >= warp_top, base.log_sf(x),
                             np.log1p(-np.minimum(cdf(x), 1.0)))
 
+    def depth_u(side, t):
+        t = np.asarray(t, dtype=float)
+        return np.exp(-t) if side == LEFT else -np.expm1(-t)
+
+    # the base's tail hooks, moved by the warp at depths inside its region
+    def hook_position(side, fn):
+        return lambda t: np.asarray(fn(t), dtype=float) + warp(depth_u(side, t))
+
+    def hook_log_magnitude(side, fn):
+        def log_mag(t):
+            w = warp(depth_u(side, t))
+            x = np.asarray(base.tail_quantile(side, t), dtype=float) + w
+            with np.errstate(divide="ignore", invalid="ignore"):
+                moved = np.log(np.maximum(x if side == RIGHT else -x, 1e-300))
+            return np.where(w == 0.0, fn(t), moved)
+        return log_mag
+
+    def hook_log_density(side, fn):
+        def log_f(t):
+            lf = np.asarray(fn(t), dtype=float)
+            # log h_warped = log h - log(1 + h dwarp)
+            return lf - np.log1p(np.exp(lf) * dwarp(depth_u(side, t)))
+        return log_f
+
     return DistSpec(
         name=name or f"warped[{base.name}]",
         cdf=cdf,
@@ -493,9 +529,12 @@ def warped_dist(base: DistSpec, warp: Callable, dwarp: Callable,
         log_sf=log_sf,
         support=base.support,
         params={"family": "warped", "base": base.params, "region": [lo_r, hi_r]},
-        tail_quantile_fn=base.tail_quantile_fn,
-        log_tail_magnitude_fn=base.log_tail_magnitude_fn,
-        log_density_at_depth_fn=base.log_density_at_depth_fn,
+        tail_quantile_fn={side: hook_position(side, fn)
+                          for side, fn in base.tail_quantile_fn.items()},
+        log_tail_magnitude_fn={side: hook_log_magnitude(side, fn)
+                               for side, fn in base.log_tail_magnitude_fn.items()},
+        log_density_at_depth_fn={side: hook_log_density(side, fn)
+                                 for side, fn in base.log_density_at_depth_fn.items()},
     )
 
 

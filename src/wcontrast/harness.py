@@ -5,8 +5,8 @@ replication, simulates the corresponding limit law once, and reports the
 two-sample Kolmogorov-Smirnov distance between the R statistics and the
 simulated draws. Everything is deterministic given the master seed:
 replication i uses a generator derived from (seed, "rep", i) and the limit
-draws one stream derived from (seed, "draws"), so results are identical
-for any worker count.
+draws one stream derived from (seed, "draws"), so each replication's
+statistic depends only on the seed and its index.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import math
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -171,13 +170,6 @@ def derive_seed_int(seed: int, index: int) -> int:
     return int(derive_rng(seed, "rep", index).integers(0, 2 ** 62))
 
 
-def _replication_block(args):
-    config, indices, scale, centering = args
-    if config.theorem == THEOREM_ONE_SAMPLE:
-        return [_one_sample_statistic(config, i) for i in indices]
-    return [_paired_statistic(config, i, scale, centering) for i in indices]
-
-
 def _scale_and_centering(config: ExperimentConfig):
     n = config.n
     if config.theorem == THEOREM_EQUAL:
@@ -207,30 +199,22 @@ def _simulate_limit(config: ExperimentConfig) -> LimitDraws:
                                  config.n_sim, config.seed, tail_frac, require)
 
 
-def run_clt_study(config: ExperimentConfig, threads: int = 1) -> StudyResult:
+def run_clt_study(config: ExperimentConfig) -> StudyResult:
     """R scaled replications vs one simulated limit; deterministic given the
-    master seed, for any ``threads``. Assumption checkers run inside the
-    limit simulation per ``check_policy``; truncation bounds are recorded
-    (or enforced) per ``tail_policy``.
+    master seed. Assumption checkers run inside the limit simulation per
+    ``check_policy``; truncation bounds are recorded (or enforced) per
+    ``tail_policy``.
     """
     t_start = time.perf_counter()
     draws = _simulate_limit(config)
 
     scale, centering = _scale_and_centering(config)
-    indices = list(range(config.replications))
-    if threads <= 1:
-        stats_list = _replication_block((config, indices, scale, centering))
+    if config.theorem == THEOREM_ONE_SAMPLE:
+        stats_list = [_one_sample_statistic(config, i)
+                      for i in range(config.replications)]
     else:
-        # replications are pure functions of (config, index): any worker
-        # layout reassembles to the same ordered array
-        blocks = [(config, indices[k::threads], scale, centering)
-                  for k in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_replication_block, blocks))
-        stats_arr = np.empty(config.replications)
-        for k, block in enumerate(results):
-            stats_arr[k::threads] = block
-        stats_list = stats_arr.tolist()
+        stats_list = [_paired_statistic(config, i, scale, centering)
+                      for i in range(config.replications)]
     statistics = np.asarray(stats_list, dtype=float)
 
     if np.all(statistics == statistics[0]) and np.all(draws.values == draws.values[0]) \

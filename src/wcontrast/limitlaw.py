@@ -135,6 +135,8 @@ class LimitDraws:
 
     def upper_tail_p(self, statistic: float) -> float:
         """Add-one upper-tail probability (1 + #{draws >= s}) / (1 + N)."""
+        if not math.isfinite(statistic):
+            raise ValidationError(f"test statistic must be finite; got {statistic}")
         return (1.0 + float(np.sum(self.values >= statistic))) / (1.0 + self.n_sim)
 
     def quantiles(self, qs=(0.9, 0.95, 0.99)) -> dict:

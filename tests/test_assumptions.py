@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 import wcontrast as wc
 from tests.conftest import exp_growth_cost
 from wcontrast.assumptions import FAIL, PASS, w2_variance_integral
+from wcontrast.distributions import dist_from_scipy
 from wcontrast.errors import ValidationError
 
 
@@ -192,3 +194,79 @@ def test_report_serialization(gauss_shift_pair):
     assert isinstance(d["subreports"], list) and d["subreports"]
     import json
     json.dumps(d)   # must be JSON-clean
+
+
+# ---------------------------------------------------------------------------
+# closed-form Gaussian tail hooks and the vectorized CFG_D(i) probe grid
+# ---------------------------------------------------------------------------
+
+def _generic_gaussian(loc=0.0, scale=1.0):
+    """The same law with no tail hooks: depths go through bisection."""
+    return dist_from_scipy("gaussian-generic", stats.norm(loc, scale))
+
+
+def _bump_pair(base):
+    warp, dwarp = wc.bump_warp(0.15, 0.2, 0.5)
+    warped = wc.warped_dist(base, warp, dwarp, (0.2, 0.5))
+    return wc.PairSpec(base, warped, wc.comonotone(),
+                       wc.Partition((0.0, 0.2, 0.5, 1.0), ("E", "D", "E")))
+
+
+def _verdict_tree(report):
+    return (report.condition, report.verdict,
+            tuple(_verdict_tree(s) for s in report.subreports))
+
+
+def _leaf_profiles(report):
+    if report.margin_profile:
+        yield report.condition, np.array(report.margin_profile, dtype=float)
+    for sub in report.subreports:
+        yield from _leaf_profiles(sub)
+
+
+_GAUSSIAN_CHECKS = {
+    "FG": (lambda g: wc.check_fg(g), PASS),
+    "CFG_E": (lambda g: wc.check_cfg_e(g, wc.power_cost(1.5)), PASS),
+    "CFG_E-expcost": (lambda g: wc.check_cfg_e(g, exp_growth_cost(1.5, 2.5)), FAIL),
+    "CFG_ED-bump": (lambda g: wc.check_cfg_ed(_bump_pair(g), wc.power_cost(1)), PASS),
+    "W2H": (lambda g: wc.check_w2_hypotheses(g), FAIL),
+    "PARETO_DOM": (lambda g: wc.check_pareto_dominance(g, 14.0), PASS),
+}
+
+
+@pytest.mark.parametrize("loc,scale", [(0.0, 1.0), (0.5, 2.0)])
+@pytest.mark.parametrize("name", sorted(_GAUSSIAN_CHECKS))
+def test_gaussian_tail_hooks_keep_verdicts(name, loc, scale):
+    check, expected = _GAUSSIAN_CHECKS[name]
+    hooked = check(wc.gaussian(loc, scale))
+    generic = check(_generic_gaussian(loc, scale))
+    assert hooked.verdict == expected
+    assert _verdict_tree(hooked) == _verdict_tree(generic)
+    if name.startswith(("CFG", "PARETO")):
+        # growth-inequality profiles: probe, lhs, rhs agree to rounding
+        for (cond, a), (_, b) in zip(_leaf_profiles(hooked), _leaf_profiles(generic)):
+            assert np.allclose(a[:, :3], b[:, :3], rtol=1e-10, atol=1e-12), cond
+
+
+def test_cfg_d_probe_grid_matches_scalar_loop(gauss_shift_pair):
+    # psi o l^{-1} evaluated probe by probe (the scalar route) gives the
+    # same finite-difference derivatives, bit for bit
+    cost, fd_step = wc.power_cost(1.5), 1e-5
+    report = wc.check_cfg_d(gauss_shift_pair, cost, fd_step=fd_step)
+    dists = {"X": gauss_shift_pair.dist_x, "Y": gauss_shift_pair.dist_y}
+    part_i = [s for s in report.subreports if s.condition.startswith("CFG_D(i)")]
+    assert len(part_i) == 8
+    for sub in part_i:
+        side, branch = sub.parameters_used["side"], sub.parameters_used["branch"]
+        dist = dists[sub.parameters_used["marginal"]]
+        ys = np.array([row[0] for row in sub.margin_profile])
+
+        def psi_of_l_inv(y):
+            return float(dist.psi_of_log_position(side, cost.l_inverse_log(branch, float(y))))
+
+        dy = fd_step * ys
+        with np.errstate(invalid="ignore"):
+            scalar = np.array([(psi_of_l_inv(y + d) - psi_of_l_inv(y - d)) / (2 * d)
+                               for y, d in zip(ys, dy)])
+        scalar[~np.isfinite(scalar)] = np.inf   # an exhausted tail: infinite slack
+        assert np.array_equal(scalar, [row[1] for row in sub.margin_profile]), sub.condition

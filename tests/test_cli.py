@@ -92,8 +92,7 @@ def test_study_subcommand_and_determinism(study_yaml, tmp_path, capsys):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"
     assert main(["study", "--config", str(study_yaml), "--out", str(out1)]) == 0
-    assert main(["study", "--config", str(study_yaml), "--out", str(out2),
-                 "--threads", "2"]) == 0
+    assert main(["study", "--config", str(study_yaml), "--out", str(out2)]) == 0
     assert (out1 / "statistics.csv").read_bytes() == (out2 / "statistics.csv").read_bytes()
     assert (out1 / "limit_draws.csv").read_bytes() == (out2 / "limit_draws.csv").read_bytes()
 

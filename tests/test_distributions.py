@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import wcontrast as wc
-from wcontrast.distributions import bvn_cdf
+from wcontrast.distributions import bvn_cdf, dist_from_scipy
 from wcontrast.errors import DomainError, ValidationError
 
 
@@ -70,6 +70,52 @@ def test_tail_depth_api_closed_forms():
     # generic inversion agrees with scipy in the moderate regime
     assert float(g.tail_quantile("+", 5.0)) == pytest.approx(
         float(stats.norm.isf(math.exp(-5.0))), rel=1e-9)
+
+
+@pytest.mark.parametrize("loc,scale", [(0.0, 1.0), (1.5, 0.3), (-2.0, 4.0)])
+def test_gaussian_tail_hooks_match_bisection(loc, scale):
+    # closed-form hooks of gaussian() against the generic bisection on
+    # scipy's log tails (the same law with no hooks)
+    hooked = wc.gaussian(loc, scale)
+    generic = dist_from_scipy("generic", stats.norm(loc, scale))
+    ts = np.geomspace(0.8, 1e6, 200)
+    for side in ("-", "+"):
+        z_hook = (hooked.tail_quantile(side, ts) - loc) / scale
+        z_ref = (generic.tail_quantile(side, ts) - loc) / scale
+        assert np.allclose(z_hook, z_ref, rtol=1e-10, atol=0), side
+        assert np.allclose(hooked.log_density_at_depth(side, ts),
+                           generic.log_density_at_depth(side, ts), rtol=1e-10, atol=0)
+
+
+def test_warped_gaussian_tail_hooks_match_bisection():
+    # the base hooks carry over, moved by the warp at depths whose tail mass
+    # falls in the warp region (t in (0.69, 1.61) on the left here)
+    warp, dwarp = wc.bump_warp(0.15, 0.2, 0.5)
+    hooked = wc.warped_dist(wc.gaussian(), warp, dwarp, (0.2, 0.5))
+    generic = wc.warped_dist(dist_from_scipy("generic", stats.norm()), warp, dwarp,
+                             (0.2, 0.5))
+    assert not generic.tail_quantile_fn
+    ts = np.concatenate([np.linspace(0.05, 3.0, 12), np.geomspace(3.5, 1e6, 8)])
+    for side in ("-", "+"):
+        assert np.allclose(hooked.tail_quantile(side, ts), generic.tail_quantile(side, ts),
+                           rtol=1e-10, atol=0), side
+    # the generic density goes through the warped cdf: exact on the left
+    # tail, through 1 - cdf (so only shallow) on the right
+    for side, t_max in (("-", 500.0), ("+", 10.0)):
+        t = ts[ts <= t_max]
+        assert np.allclose(hooked.log_density_at_depth(side, t),
+                           generic.log_density_at_depth(side, t), rtol=1e-10, atol=0), side
+
+
+def test_warped_pareto_log_magnitude_hook():
+    warp, dwarp = wc.bump_warp(0.02, 0.2, 0.5)
+    base = wc.pareto(4.0)
+    warped = wc.warped_dist(base, warp, dwarp, (0.2, 0.5))
+    ts = np.array([0.4, 0.6, 5.0, 1e4])
+    expected = np.log(base.tail_quantile("+", ts[:3]) + warp(-np.expm1(-ts[:3])))
+    assert np.allclose(warped.log_tail_magnitude("+", ts[:3]), expected, rtol=1e-12)
+    # deep in the tail the base's overflow-free hook is kept
+    assert warped.log_tail_magnitude("+", ts[3]) == base.log_tail_magnitude("+", ts[3])
 
 
 def test_tail_applicability():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.integrate import quad
 
 import wcontrast as wc
 from wcontrast.errors import HypothesisError, ValidationError
@@ -125,6 +129,94 @@ def test_wp_distance_exactness_uniform():
     # int |0.5 - u| du = 1/4
     val = wp_distance_to_dist(np.array([0.5]), wc.uniform(), 1.0)
     assert val == pytest.approx(0.25, abs=1e-9)
+
+
+def _w1_gaussian_closed_form(xs):
+    """W_1 between the empirical law of xs and N(0,1) over [1e-13, 1 - 1e-13]:
+    int_a^b |x - Q(u)| du split at Phi(x), with int_a^b Q = phi(Q(a)) - phi(Q(b))."""
+    xs = np.sort(xs)
+    n = len(xs)
+    a = np.maximum(np.arange(n) / n, 1e-13)
+    b = np.minimum(np.arange(1, n + 1) / n, 1.0 - 1e-13)
+    u_star = np.clip(stats.norm.cdf(xs), a, b)
+
+    def phi_q(u):
+        return stats.norm.pdf(stats.norm.ppf(u))
+
+    below = xs * (u_star - a) - (phi_q(a) - phi_q(u_star))   # x >= Q on [a, u*]
+    above = (phi_q(u_star) - phi_q(b)) - xs * (b - u_star)   # Q >= x on [u*, b]
+    return float(np.sum(below + above))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])
+def test_wp_distance_gaussian_closed_form(n):
+    g = wc.gaussian()
+    xs = g.sample(n, np.random.default_rng(n))
+    exact = _w1_gaussian_closed_form(xs)
+    assert wp_distance_to_dist(xs, g, 1.0) == pytest.approx(exact, rel=1e-10, abs=0)
+
+
+def _wp_quad_reference(xs, dist, p, breaks=()):
+    """Adaptive quad per segment, split at u* = F0(x_i) and at ``breaks``;
+    the edge segments run in log-distance to the near endpoint, where quad
+    resolves the unbounded quantile."""
+    xs = np.sort(xs)
+    n = len(xs)
+    width = min(1.0 / n, 0.5)
+    total = 0.0
+    # (observation, coordinate ends, kind): u inside, log-distance on the edges
+    segments = [(xs[0], math.log(1e-13), math.log(width), "low"),
+                (xs[-1], math.log(1e-13), math.log(width), "high")]
+    segments += [(xs[i], i / n, (i + 1) / n, "inside") for i in range(1, n - 1)]
+    for x, lo, hi, kind in segments:
+        kinks = np.array([float(dist.cdf(x)), *breaks])
+        with np.errstate(divide="ignore"):
+            kinks = {"low": np.log(kinks), "high": np.log1p(-kinks), "inside": kinks}[kind]
+        points = [float(c) for c in kinks if lo < c < hi] or None
+
+        def f(c, x=x, kind=kind):
+            u = {"low": math.exp(c), "high": 1.0 - math.exp(c), "inside": c}[kind]
+            jac = 1.0 if kind == "inside" else math.exp(c)
+            return abs(x - float(dist.quantile(np.asarray(u)))) ** p * jac
+
+        total += quad(f, lo, hi, points=points, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return total
+
+
+_WARP = wc.bump_warp(0.15, 0.2, 0.5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("name,dist,breaks", [
+    ("gaussian", wc.gaussian(), ()),
+    ("exponential", wc.exponential(), ()),
+    ("pareto8", wc.pareto(8.0), ()),
+    ("beta22", wc.beta_dist(2, 2), ()),
+    ("bump", wc.warped_dist(wc.gaussian(), *_WARP, (0.2, 0.5)), (0.2, 0.5)),
+])
+def test_wp_distance_p15_matches_quad(name, dist, breaks, n):
+    xs = dist.sample(n, np.random.default_rng(100 + n))
+    ref = _wp_quad_reference(xs, dist, 1.5, breaks)
+    # the bump warp is only C^1 at 0.2 and 0.5; with n <= 2 they fall inside
+    # an edge panel, which Gauss-Legendre integrates to about 1e-5 there
+    rel = 1e-5 if breaks and n <= 2 else 1e-11
+    assert wp_distance_to_dist(xs, dist, 1.5) == pytest.approx(ref, rel=rel, abs=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gof_rejects_non_finite_sample(bad, one_sample_draws):
+    xs = wc.gaussian().sample(50, np.random.default_rng(9))
+    xs[7] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        wp_distance_to_dist(xs, wc.gaussian(), 1.0)
+    with pytest.raises(ValidationError, match="non-finite"):
+        wc.gof_test(xs, wc.gaussian(), p=1.0, sim=one_sample_draws)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_upper_tail_p_rejects_non_finite(bad, one_sample_draws):
+    with pytest.raises(ValidationError, match="finite"):
+        one_sample_draws.upper_tail_p(bad)
 
 
 def test_gof_stratified_high_p(one_sample_draws):
