@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: estimate, test, check, simulate-limit, study.
+Subcommands: estimate, test, check, simulate-limit, study. ``check``
+runs the FG checker on each marginal and the checker of the limit theorem
+that the pair and the cost select.
 Exit codes: 0 success, 2 validation error, 3 numerical error,
 4 hypothesis-check failure.
 """
@@ -12,18 +14,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from .assumptions import (check_cfg_e, check_cfg_ed, check_compact, check_fg,
-                          check_w2_hypotheses)
+from .assumptions import check_fg
 from .errors import (HypothesisError, NumericalError, ValidationError,
                      WContrastError)
 from .estimator import w1_cdf_distance, w_cost_empirical
-from .harness import (emit_limit_draws, emit_study, ingest_csv, load_config,
-                      resolve_cost, resolve_pair, run_clt_study,
-                      _simulate_limit)
+from .harness import (ExperimentConfig, emit_limit_draws, emit_study, ingest_csv,
+                      load_config, resolve_cost, resolve_pair, run_clt_study)
 from .inference import two_sample_test
+from .limitlaw import select_regime
 
 
 def _load_yaml(path):
@@ -95,21 +95,11 @@ def _cmd_check(args) -> int:
     spec = _load_yaml(args.config)
     pair = resolve_pair(spec["pair"])
     cost = resolve_cost(spec["cost"])
+    regime = select_regime(pair, cost, spec.get("theorem"))
     reports = [check_fg(pair.dist_x)]
     if pair.dist_y is not pair.dist_x:
         reports.append(check_fg(pair.dist_y))
-    lo, hi = pair.dist_x.support
-    bounded = np.isfinite(lo) and np.isfinite(hi)
-    if pair.partition.is_all_E:
-        if bounded:
-            reports.append(check_compact(pair.dist_x, cost,
-                                         max(cost.b_minus, cost.b_plus) + 0.5))
-        elif cost.b >= 2.0:
-            reports.append(check_w2_hypotheses(pair.dist_x))
-        else:
-            reports.append(check_cfg_e(pair.dist_x, cost))
-    else:
-        reports.append(check_cfg_ed(pair, cost))
+    reports.append(regime.check(pair, cost, float(spec.get("p", ExperimentConfig.p))))
     _emit_json([r.to_dict() for r in reports],
                args.out if args.out else None)
     for r in reports:
@@ -121,7 +111,7 @@ def _cmd_check(args) -> int:
 def _cmd_simulate_limit(args) -> int:
     config = load_config(args.config, seed_override=args.seed,
                          out_override=args.out)
-    draws = _simulate_limit(config)
+    draws = config.limit_draws()
     out_dir = config.out or "."
     paths = emit_limit_draws(draws, out_dir)
     print(json.dumps(paths))

@@ -476,13 +476,17 @@ def warped_dist(base: DistSpec, warp: Callable, dwarp: Callable,
         out = out.reshape(np.atleast_1d(arr).shape)
         return float(out[0]) if arr.ndim == 0 else out
 
+    # the base's values where the warp vanishes, as in log_cdf and log_sf
     def density(x):
-        u = np.asarray(cdf(x), dtype=float)
-        return density_quantile(u)
+        x = np.asarray(x, dtype=float)
+        return np.where((x <= x_lo) | (x >= warp_top), base.density(x),
+                        density_quantile(np.asarray(cdf(x), dtype=float)))
 
     def log_density(x):
+        x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.log(density(x))
+            return np.where((x <= x_lo) | (x >= warp_top), base.log_density(x),
+                            np.log(density_quantile(np.asarray(cdf(x), dtype=float))))
 
     def log_cdf(x):
         x = np.asarray(x, dtype=float)

@@ -3,10 +3,13 @@
 A study draws R paired samples, computes the scaled contrast statistic per
 replication, simulates the corresponding limit law once, and reports the
 two-sample Kolmogorov-Smirnov distance between the R statistics and the
-simulated draws. Everything is deterministic given the master seed:
-replication i uses a generator derived from (seed, "rep", i) and the limit
-draws one stream derived from (seed, "draws"), so each replication's
-statistic depends only on the seed and its index.
+simulated draws. ``limitlaw.select_regime`` derives the limit theorem from
+the pair and the cost (a ``theorem`` label may be given and must match;
+only ``one_sample`` must be named); its checker, rate, centering and draws
+come from ``limitlaw.REGIMES``. Everything is deterministic given the
+master seed: replication i uses a generator derived from (seed, "rep", i)
+and the limit draws one stream derived from (seed, "draws"), so each
+replication's statistic depends only on the seed and its index.
 """
 
 from __future__ import annotations
@@ -27,16 +30,15 @@ from scipy.stats import ks_2samp
 
 from . import costs as costs_mod
 from . import distributions as dist_mod
-from .costs import CostSpec, rate_vn
+from .costs import CostSpec
 from .distributions import (CouplingSpec, Partition, PairSpec, bump_warp,
                             sample_pairs, warped_dist)
 from .errors import ValidationError
 from .estimator import PairedSample, QuadratureSpec, w_cost_empirical, \
     w_cost_population
-from .limitlaw import (THEOREM_EQUAL, THEOREM_GAUSSIAN, THEOREM_MIXED,
-                       THEOREM_ONE_SAMPLE, THEOREM_QUADRATIC, LimitDraws,
-                       build_bridge_grid, draw_limit_E, draw_limit_ED,
-                       draw_limit_one_sample, draw_limit_W2)
+from .inference import wp_distance_to_dist
+from .limitlaw import (DEFAULT_GRID, REGIMES, THEOREM_ONE_SAMPLE, LimitDraws,
+                       select_regime)
 from .seeding import derive_rng
 
 __all__ = [
@@ -51,22 +53,19 @@ __all__ = [
     "resolve_pair",
 ]
 
-_THEOREMS = (THEOREM_EQUAL, THEOREM_QUADRATIC, THEOREM_GAUSSIAN,
-             THEOREM_MIXED, THEOREM_ONE_SAMPLE)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved study description; the seed is mandatory."""
+    """Fully resolved study description. The seed is mandatory; a theorem of
+    None is derived from the pair and the cost."""
 
     pair: PairSpec
     cost: CostSpec
-    theorem: str
+    theorem: Optional[str]
     n: int
     replications: int
     seed: int
-    grid_m: int = 2047
-    grid_delta: float = 1e-4
+    grid_m: int = DEFAULT_GRID[0]
+    grid_delta: float = DEFAULT_GRID[1]
     n_sim: int = 5000
     p: float = 1.5                      # one-sample exponent
     tail_policy: str = "record"         # "record" | "raise"
@@ -75,9 +74,8 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.theorem not in _THEOREMS:
-            raise ValidationError(f"unknown theorem label {self.theorem!r}; "
-                                  f"expected one of {_THEOREMS}")
+        object.__setattr__(self, "theorem",
+                           select_regime(self.pair, self.cost, self.theorem).label)
         if self.n < 1 or self.replications < 1 or self.n_sim < 1:
             raise ValidationError("n, replications and n_sim must be >= 1")
         if self.seed is None:
@@ -102,6 +100,15 @@ class ExperimentConfig:
             "tail_policy": self.tail_policy,
             "check_policy": self.check_policy,
         }
+
+    def limit_draws(self) -> LimitDraws:
+        """Draws of the theorem's limit law. Its checker runs once; a verdict
+        other than pass raises unless check_policy is "override"."""
+        regime = REGIMES[self.theorem]
+        regime.gate(self.pair, self.cost, self.p, self.check_policy == "override")
+        tail_frac = 0.05 if self.tail_policy == "raise" else None
+        return regime.simulate(self.pair, self.cost, (self.grid_m, self.grid_delta),
+                               self.n_sim, self.seed, tail_frac, self.p)
 
 
 @dataclass(frozen=True)
@@ -149,19 +156,15 @@ def _environment_fingerprint() -> dict:
     }
 
 
-def _one_sample_statistic(config: ExperimentConfig, index: int) -> float:
-    from .inference import wp_distance_to_dist
-
-    rng = derive_rng(config.seed, "rep", index)
-    xs = config.pair.dist_x.quantile(rng.random(config.n))
-    w = wp_distance_to_dist(np.asarray(xs, dtype=float), config.pair.dist_x, config.p)
-    return config.n ** (config.p / 2.0) * w
-
-
-def _paired_statistic(config: ExperimentConfig, index: int, scale: float,
-                      centering: float) -> float:
-    sample = sample_pairs(config.pair, config.n, derive_seed_int(config.seed, index))
-    w = w_cost_empirical(sample, config.cost)
+def _statistic(config: ExperimentConfig, index: int, scale: float,
+               centering: float) -> float:
+    if config.theorem == THEOREM_ONE_SAMPLE:
+        rng = derive_rng(config.seed, "rep", index)
+        xs = config.pair.dist_x.quantile(rng.random(config.n))
+        w = wp_distance_to_dist(np.asarray(xs, dtype=float), config.pair.dist_x, config.p)
+    else:
+        sample = sample_pairs(config.pair, config.n, derive_seed_int(config.seed, index))
+        w = w_cost_empirical(sample, config.cost)
     return scale * (w - centering)
 
 
@@ -170,52 +173,24 @@ def derive_seed_int(seed: int, index: int) -> int:
     return int(derive_rng(seed, "rep", index).integers(0, 2 ** 62))
 
 
-def _scale_and_centering(config: ExperimentConfig):
-    n = config.n
-    if config.theorem == THEOREM_EQUAL:
-        return rate_vn(config.cost, n), 0.0
-    if config.theorem == THEOREM_QUADRATIC:
-        return float(n), 0.0
-    if config.theorem in (THEOREM_GAUSSIAN, THEOREM_MIXED):
-        pop = w_cost_population(config.pair, config.cost, QuadratureSpec())
-        return math.sqrt(n), pop.value + pop.tail_bound
-    return 1.0, 0.0   # one-sample handles its own scaling
-
-
-def _simulate_limit(config: ExperimentConfig) -> LimitDraws:
-    grid = build_bridge_grid(config.pair, m=config.grid_m, delta=config.grid_delta)
-    tail_frac = 0.05 if config.tail_policy == "raise" else None
-    require = config.check_policy == "require"
-    if config.theorem == THEOREM_EQUAL:
-        return draw_limit_E(config.pair, config.cost, grid, config.n_sim,
-                            config.seed, tail_frac, require)
-    if config.theorem == THEOREM_QUADRATIC:
-        return draw_limit_W2(config.pair, grid, config.n_sim, config.seed,
-                             tail_frac, require)
-    if config.theorem in (THEOREM_MIXED, THEOREM_GAUSSIAN):
-        return draw_limit_ED(config.pair, config.cost, grid, config.n_sim,
-                             config.seed, tail_frac, require)
-    return draw_limit_one_sample(config.pair.dist_x, config.p, grid,
-                                 config.n_sim, config.seed, tail_frac, require)
-
-
 def run_clt_study(config: ExperimentConfig) -> StudyResult:
     """R scaled replications vs one simulated limit; deterministic given the
-    master seed. Assumption checkers run inside the limit simulation per
-    ``check_policy``; truncation bounds are recorded (or enforced) per
-    ``tail_policy``.
+    master seed. The theorem's checker runs once, per ``check_policy``;
+    truncation bounds are recorded (or enforced) per ``tail_policy``. The
+    statistic is scaled by the theorem's rate and, for the sqrt(n)
+    theorems, centred at W(F, G).
     """
     t_start = time.perf_counter()
-    draws = _simulate_limit(config)
+    draws = config.limit_draws()
 
-    scale, centering = _scale_and_centering(config)
-    if config.theorem == THEOREM_ONE_SAMPLE:
-        stats_list = [_one_sample_statistic(config, i)
-                      for i in range(config.replications)]
-    else:
-        stats_list = [_paired_statistic(config, i, scale, centering)
-                      for i in range(config.replications)]
-    statistics = np.asarray(stats_list, dtype=float)
+    regime = REGIMES[config.theorem]
+    scale = regime.rate(config.n, config.cost, config.p)
+    centering = 0.0
+    if regime.centred:
+        pop = w_cost_population(config.pair, config.cost, QuadratureSpec())
+        centering = pop.value + pop.tail_bound
+    statistics = np.asarray([_statistic(config, i, scale, centering)
+                             for i in range(config.replications)], dtype=float)
 
     if np.all(statistics == statistics[0]) and np.all(draws.values == draws.values[0]) \
             and statistics[0] == draws.values[0]:
@@ -382,24 +357,23 @@ def load_config(path, seed_override: Optional[int] = None,
     if seed is None:
         raise ValidationError("config requires an explicit seed")
     try:
-        pair = resolve_pair(raw["pair"])
-        cost = resolve_cost(raw["cost"])
         grid = raw.get("grid", {})
+        # keys left out of the file keep ExperimentConfig's defaults
+        given = {"grid_m": (grid.get("m"), int), "grid_delta": (grid.get("delta"), float),
+                 "n_sim": (raw.get("n_sim"), int), "p": (raw.get("p"), float),
+                 "tail_policy": (raw.get("tail_policy"), str),
+                 "check_policy": (raw.get("check_policy"), str)}
         config = ExperimentConfig(
-            pair=pair,
-            cost=cost,
-            theorem=raw.get("theorem", THEOREM_EQUAL),
+            pair=resolve_pair(raw["pair"]),
+            cost=resolve_cost(raw["cost"]),
+            theorem=raw.get("theorem"),
             n=int(raw["n"]),
             replications=int(raw.get("replications", 1)),
             seed=int(seed),
-            grid_m=int(grid.get("m", 2047)),
-            grid_delta=float(grid.get("delta", 1e-4)),
-            n_sim=int(raw.get("n_sim", 5000)),
-            p=float(raw.get("p", 1.5)),
-            tail_policy=raw.get("tail_policy", "record"),
-            check_policy=raw.get("check_policy", "require"),
             out=out_override or raw.get("out"),
             raw=raw,
+            **{key: cast(value) for key, (value, cast) in given.items()
+               if value is not None},
         )
     except KeyError as exc:
         raise ValidationError(f"{path}: missing config key {exc}") from None

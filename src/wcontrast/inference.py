@@ -7,29 +7,26 @@ power analysis and confidence intervals). Only simple nulls are supported:
 the limiting laws depend on the density-quantile of the null, so a fully
 specified null distribution is required; simulating under a fitted
 parametric null must be flagged explicitly and is reported as approximate.
+Each call takes its limit theorem, checker, rate and draws from
+``limitlaw.select_regime`` and runs the checker once; a verdict other than
+pass raises HypothesisError unless ``override_checks`` turns it into a note.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .assumptions import (PASS, check_cfg_d, check_cfg_e, check_cfg_ed,
-                          check_compact, check_pareto_dominance,
-                          check_w2_hypotheses)
-from .costs import CostSpec, rate_vn
+from .costs import CostSpec
 from .distributions import DistSpec, PairSpec, equal_pair
-from .errors import HypothesisError, ValidationError
+from .errors import ValidationError
 from .estimator import PairedSample, w_cost_empirical
-from .limitlaw import (THEOREM_EQUAL, THEOREM_ONE_SAMPLE, THEOREM_QUADRATIC,
-                       LimitDraws, build_bridge_grid, draw_limit_E,
-                       draw_limit_ED, draw_limit_one_sample, draw_limit_W2,
-                       sigma2_D)
+from .limitlaw import (DEFAULT_GRID, THEOREM_GAUSSIAN, THEOREM_ONE_SAMPLE,
+                       LimitDraws, select_regime, sigma2_D)
 
 __all__ = [
     "TestResult",
@@ -41,7 +38,6 @@ __all__ = [
 
 _DEFAULT_LEVEL = 0.05
 _DEFAULT_NSIM = 5000
-_DEFAULT_GRID = (2047, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -70,98 +66,43 @@ class TestResult:
         }
 
 
-def _simulate_null(kind: str, pair: PairSpec, cost: Optional[CostSpec],
-                   grid_shape: tuple, n_sim: int, seed: int, p: float = 0.0,
-                   tail_frac: Optional[float] = None) -> LimitDraws:
-    """Null limit draws for a test, simulated afresh on every call."""
-    m, delta = grid_shape
-    grid = build_bridge_grid(pair, m=m, delta=delta)
-    if kind == THEOREM_EQUAL:
-        return draw_limit_E(pair, cost, grid, n_sim, seed,
-                            tail_frac=tail_frac, require_checks=False)
-    if kind == THEOREM_QUADRATIC:
-        return draw_limit_W2(pair, grid, n_sim, seed,
-                             tail_frac=tail_frac, require_checks=False)
-    if kind == THEOREM_ONE_SAMPLE:
-        return draw_limit_one_sample(pair.dist_x, p, grid, n_sim, seed,
-                                     tail_frac=tail_frac, require_checks=False)
-    raise ValidationError(f"unknown limit kind {kind!r}")
-
-
-def _is_quadratic_near_zero(cost: CostSpec) -> bool:
-    """b = 2 on both branches with unit slowly varying factor near 0."""
-    if cost.b_minus != 2.0 or cost.b_plus != 2.0:
-        return False
-    x = np.asarray(1e-4 * cost.x0)
-    return (abs(float(cost.rho_plus(x)) / float(x) ** 2 - 1.0) < 1e-6
-            and abs(float(cost.rho_minus(x)) / float(x) ** 2 - 1.0) < 1e-6)
-
-
 def two_sample_test(sample: PairedSample, null_pair: PairSpec, cost: CostSpec,
                     level: float = _DEFAULT_LEVEL,
                     sim: Optional[LimitDraws] = None,
                     n_sim: int = _DEFAULT_NSIM, seed: int = 7,
-                    grid: tuple = _DEFAULT_GRID,
+                    grid: tuple = DEFAULT_GRID,
                     override_checks: bool = False,
                     tail_frac: Optional[float] = None,
                     null_fitted: bool = False) -> TestResult:
     """Test of equal marginal laws from paired data.
 
-    The statistic is the order-statistic contrast; under the null it is
-    scaled by the rate v_n (or by n in the quadratic b = 2 regime) and
-    compared against simulated draws of the limiting law with the add-one
-    upper-tail p-value (1 + #{draws >= s}) / (1 + N).
+    The statistic is the order-statistic contrast, scaled by the rate of the
+    theorem the null pair and the cost select (v_n, or n in the quadratic
+    b = 2 regime), and compared against simulated draws of the limiting law
+    with the add-one upper-tail p-value (1 + #{draws >= s}) / (1 + N).
     """
     if not 0.0 < level < 1.0:
         raise ValidationError("level must be in (0,1)")
     if not null_pair.partition.is_all_E:
         raise ValidationError("the null pair must declare equal quantile functions "
                               "on all of (0,1)")
-    n = sample.n
+    regime = select_regime(null_pair, cost)
     notes = []
     if null_fitted:
         notes.append("null simulated under a fitted parametric law: p-value approximate")
-
-    lo, hi = null_pair.dist_x.support
-    bounded = math.isfinite(lo) and math.isfinite(hi)
-    quadratic = (not bounded) and _is_quadratic_near_zero(cost)
-    if quadratic:
-        report = check_w2_hypotheses(null_pair.dist_x)
-        kind = THEOREM_QUADRATIC
-        scale = float(n)
-    else:
-        if bounded:
-            report = check_compact(null_pair.dist_x, cost,
-                                   max(cost.b_minus, cost.b_plus) + 0.5)
-        else:
-            if cost.b >= 2.0:
-                raise ValidationError(
-                    "b >= 2 with unbounded support requires a quadratic-near-zero "
-                    "cost (n-rate regime)"
-                )
-            report = check_cfg_e(null_pair.dist_x, cost)
-        kind = THEOREM_EQUAL
-        scale = rate_vn(cost, n)
-    if report.verdict != PASS:
-        if not override_checks:
-            raise HypothesisError(
-                f"null-hypothesis checker {report.condition} returned "
-                f"{report.verdict}; pass override_checks=True to proceed"
-            )
-        notes.append(f"checker {report.condition} = {report.verdict} (overridden)")
+    notes += regime.gate(null_pair, cost, override=override_checks)
 
     statistic = w_cost_empirical(sample, cost)
-    scaled = scale * statistic
+    scaled = regime.rate(sample.n, cost, 0.0) * statistic
     if sim is None:
-        sim = _simulate_null(kind, null_pair, cost, grid, n_sim, seed,
-                             tail_frac=tail_frac)
+        sim = regime.simulate(null_pair, cost, grid, n_sim, seed, tail_frac)
     p_value = sim.upper_tail_p(scaled)
     return TestResult(
         statistic=statistic,
         scaled_statistic=scaled,
         p_value=p_value,
         critical_values=sim.quantiles(),
-        theorem_used=kind,
+        theorem_used=regime.label,
         n_sim=sim.n_sim,
         level=level,
         reject=p_value <= level,
@@ -269,43 +210,34 @@ def gof_test(xs, null_dist: DistSpec, p: float = 1.0,
              level: float = _DEFAULT_LEVEL,
              sim: Optional[LimitDraws] = None,
              n_sim: int = _DEFAULT_NSIM, seed: int = 11,
-             grid: tuple = _DEFAULT_GRID,
+             grid: tuple = DEFAULT_GRID,
              override_checks: bool = False,
              tail_frac: Optional[float] = None,
              null_fitted: bool = False) -> TestResult:
     """One-sample goodness of fit against a fully specified null via the
     n^{p/2}-scaled W_p^p distance and its simulated limit law."""
-    if not 1.0 <= p < 2.0:
-        raise ValidationError(f"goodness-of-fit statistic requires 1 <= p < 2; got {p}")
     if not 0.0 < level < 1.0:
         raise ValidationError("level must be in (0,1)")
     xs = np.asarray(xs, dtype=float)
-    n = len(xs)
+    pair = equal_pair(null_dist)
+    regime = select_regime(pair, None, THEOREM_ONE_SAMPLE)
     notes = []
     if null_fitted:
         notes.append("null fitted from data: p-value approximate")
-    pareto_index = 2.0 * (p + 2.0) / (2.0 - p)
-    report = check_pareto_dominance(null_dist, pareto_index)
-    if report.verdict != PASS:
-        if not override_checks:
-            raise HypothesisError(
-                f"null tail-dominance checker returned {report.verdict} "
-                f"(index {pareto_index:.3g}); pass override_checks=True to proceed"
-            )
-        notes.append(f"checker PARETO_DOM = {report.verdict} (overridden)")
+    notes += regime.gate(pair, None, p, override_checks,
+                         what=f"the tail dominance of the null {null_dist.name}")
 
     statistic = wp_distance_to_dist(xs, null_dist, p)
-    scaled = n ** (p / 2.0) * statistic
+    scaled = regime.rate(len(xs), None, p) * statistic
     if sim is None:
-        sim = _simulate_null(THEOREM_ONE_SAMPLE, equal_pair(null_dist), None,
-                             grid, n_sim, seed, p=p, tail_frac=tail_frac)
+        sim = regime.simulate(pair, None, grid, n_sim, seed, tail_frac, p)
     p_value = sim.upper_tail_p(scaled)
     return TestResult(
         statistic=statistic,
         scaled_statistic=scaled,
         p_value=p_value,
         critical_values=sim.quantiles(),
-        theorem_used=THEOREM_ONE_SAMPLE,
+        theorem_used=regime.label,
         n_sim=sim.n_sim,
         level=level,
         reject=p_value <= level,
@@ -315,7 +247,7 @@ def gof_test(xs, null_dist: DistSpec, p: float = 1.0,
 
 def clt_alternative_distribution(pair: PairSpec, cost: CostSpec,
                                  n_sim: int = _DEFAULT_NSIM, seed: int = 13,
-                                 grid: tuple = _DEFAULT_GRID,
+                                 grid: tuple = DEFAULT_GRID,
                                  override_checks: bool = False,
                                  tail_frac: Optional[float] = None
                                  ) -> Union[float, LimitDraws]:
@@ -326,25 +258,11 @@ def clt_alternative_distribution(pair: PairSpec, cost: CostSpec,
     no agreement region); otherwise returns shared-path draws of the mixed
     limit. Confidence intervals follow as estimate +/- z sigma / sqrt(n).
     """
-    b = cost.b
     if not pair.partition.has_D:
         raise ValidationError("alternative-distribution analysis requires a partition "
                               "with a D-labeled interval")
-    if b == 1.0:
-        if (cost.b_minus == 1.0 and cost.L0_minus is None) or \
-           (cost.b_plus == 1.0 and cost.L0_plus is None):
-            raise ValidationError("dispatch for b = 1 requires finite L_pm(0) ((Lpi))")
-    if b < 1.0:
-        raise ValidationError(f"alternative regime requires b >= 1; got b = {b}")
-    report = check_cfg_ed(pair, cost) if pair.partition.has_E else check_cfg_d(pair, cost)
-    if report.verdict != PASS and not override_checks:
-        raise HypothesisError(
-            f"alternative-hypothesis checker {report.condition} returned "
-            f"{report.verdict}; pass override_checks=True to proceed"
-        )
-    if (1.0 < b) or pair.partition.is_all_D:
+    regime = select_regime(pair, cost)
+    regime.gate(pair, cost, override=override_checks)
+    if regime.label == THEOREM_GAUSSIAN:
         return sigma2_D(pair, cost)
-    m, delta = grid
-    g = build_bridge_grid(pair, m=m, delta=delta)
-    return draw_limit_ED(pair, cost, g, n_sim, seed, tail_frac=tail_frac,
-                         require_checks=not override_checks)
+    return regime.simulate(pair, cost, grid, n_sim, seed, tail_frac)

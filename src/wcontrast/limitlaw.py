@@ -6,21 +6,25 @@ copula of the pair; the driving process is ``Bq(u) = B^X(u)/h_X(u) -
 B^Y(u)/h_Y(u)``. Limits are evaluated on a delta-clipped equispaced grid
 by trapezoid quadrature of one shared path per draw, with an explicit
 bound on the truncated tail contribution derived from the edge
-integrability of the relevant functional.
+integrability of the relevant functional. ``select_regime`` decides from
+the pair and the cost which limit theorem applies; its ``REGIMES`` table
+gives each theorem's checker, rate, centering and draws. A ``draw_limit_*``
+call draws its functional for the pair it is given and, with
+``require_checks``, runs its theorem's checker.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import roots_legendre
 
 from .assumptions import (PASS, check_cfg_e, check_cfg_ed, check_compact,
                           check_pareto_dominance, check_w2_hypotheses)
-from .costs import CostSpec, abs_moment_normal, derivative
+from .costs import CostSpec, abs_moment_normal, derivative, rate_vn
 from .distributions import LEFT, RIGHT, DistSpec, PairSpec, equal_pair
 from .errors import (HypothesisError, NumericalError, TruncationError,
                      ValidationError)
@@ -30,6 +34,9 @@ from .tails import CONVERGENT, assess_tail
 __all__ = [
     "BridgeGrid",
     "LimitDraws",
+    "Regime",
+    "REGIMES",
+    "select_regime",
     "build_bridge_grid",
     "draw_limit_E",
     "draw_limit_W2",
@@ -40,6 +47,7 @@ __all__ = [
     "grid_mean_oracle_W2",
 ]
 
+DEFAULT_GRID = (2047, 1e-4)       # (m, delta) of the bridge grid
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 _FROBENIUS_RTOL = 1e-6
 _DEGENERATE_VAR = 1e-12
@@ -143,7 +151,8 @@ class LimitDraws:
         return {float(q): float(np.quantile(self.values, q)) for q in qs}
 
 
-def build_bridge_grid(pair: PairSpec, m: int = 2047, delta: float = 1e-4) -> BridgeGrid:
+def build_bridge_grid(pair: PairSpec, m: int = DEFAULT_GRID[0],
+                      delta: float = DEFAULT_GRID[1]) -> BridgeGrid:
     """Factorize the joint covariance of the two bridges on the
     delta-clipped equispaced grid.
 
@@ -277,6 +286,18 @@ def _driving_process(grid: BridgeGrid, bx: np.ndarray, by: np.ndarray) -> np.nda
     return bx / grid.h_x[:, None] - by / grid.h_y[:, None]
 
 
+def _collect(grid: BridgeGrid, n_sim: int, seed: int, functional,
+             chunk: int = 512) -> np.ndarray:
+    """functional(B^X, B^Y) of every path block, in draw order."""
+    out = np.empty(n_sim)
+    done = 0
+    for bx, by in iter_bridge_paths(grid, n_sim, seed, chunk):
+        k = bx.shape[1]
+        out[done:done + k] = functional(bx, by)
+        done += k
+    return out
+
+
 # ---------------------------------------------------------------------------
 # truncated-tail bounds
 # ---------------------------------------------------------------------------
@@ -361,51 +382,22 @@ def truncated_tail_bound_ED(pair: PairSpec, cost: CostSpec, delta: float) -> flo
     return bound
 
 
-def _enforce_tail(bound: float, values: np.ndarray, tail_frac: Optional[float],
-                  delta: float) -> None:
-    if tail_frac is None:
-        return
-    med = float(np.median(np.abs(values)))
-    if not math.isfinite(bound) or bound > tail_frac * max(med, 1e-300):
-        raise TruncationError(
-            f"truncated-tail bound {bound:.3g} exceeds {tail_frac:.0%} of the median "
-            f"draw {med:.3g}; shrink delta below {delta:g} or relax tail_frac"
-        )
+def _finish_draws(values: np.ndarray, theorem: str, grid: BridgeGrid, seed: int,
+                  bound: float, tail_frac: Optional[float]) -> LimitDraws:
+    """The draws with their tail bound; given ``tail_frac``, the bound must
+    stay below that share of the median draw."""
+    if tail_frac is not None:
+        med = float(np.median(np.abs(values)))
+        if not math.isfinite(bound) or bound > tail_frac * max(med, 1e-300):
+            raise TruncationError(
+                f"truncated-tail bound {bound:.3g} exceeds {tail_frac:.0%} of the median "
+                f"draw {med:.3g}; shrink delta below {grid.delta:g} or relax tail_frac")
+    return LimitDraws(values, theorem, grid.summary(), seed, bound)
 
 
 # ---------------------------------------------------------------------------
 # limit draws
 # ---------------------------------------------------------------------------
-
-def _require(report, override: bool, what: str) -> None:
-    if override:
-        return
-    if report.verdict != PASS:
-        raise HypothesisError(
-            f"{report.condition} checker did not pass ({report.verdict}) for {what}; "
-            "fix the configuration or override the check explicitly"
-        )
-
-
-def _check_equal_marginals(pair: PairSpec, cost: CostSpec, require_checks: bool) -> None:
-    if not pair.partition.is_all_E:
-        raise ValidationError("equal-marginals limit requires a partition declaring "
-                              "agreement on all of (0,1)")
-    lo, hi = pair.dist_x.support
-    bounded = math.isfinite(lo) and math.isfinite(hi)
-    if bounded:
-        b_prime = max(cost.b_minus, cost.b_plus) + 0.5
-        _require(check_compact(pair.dist_x, cost, b_prime), not require_checks,
-                 f"{pair.dist_x.name} with {cost.name}")
-    else:
-        if cost.b >= 2.0:
-            raise ValidationError(
-                "equal-marginals limit with b >= 2 on unbounded support is the "
-                "quadratic regime; use draw_limit_W2"
-            )
-        _require(check_cfg_e(pair.dist_x, cost), not require_checks,
-                 f"{pair.dist_x.name} with {cost.name}")
-
 
 def draw_limit_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
                  seed: int, tail_frac: Optional[float] = _DEFAULT_TAIL_FRAC,
@@ -413,41 +405,32 @@ def draw_limit_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
     """Draws of the equal-marginals limit:
     pi_- int 1_{Bq<0} |Bq|^{b_-} + pi_+ int 1_{Bq>0} |Bq|^{b_+}.
     """
-    _check_equal_marginals(pair, cost, require_checks)
+    if require_checks:
+        REGIMES[THEOREM_EQUAL].gate(pair, cost)
     w = grid.weights
-    out = np.empty(n_sim)
-    pos_done = 0
-    for bx, by in iter_bridge_paths(grid, n_sim, seed):
+
+    def functional(bx, by):
         bq = _driving_process(grid, bx, by)
         absq = np.abs(bq)
         neg_part = w @ (np.where(bq < 0, absq ** cost.b_minus, 0.0))
         pos_part = w @ (np.where(bq > 0, absq ** cost.b_plus, 0.0))
-        k = bq.shape[1]
-        out[pos_done:pos_done + k] = cost.pi_minus * neg_part + cost.pi_plus * pos_part
-        pos_done += k
+        return cost.pi_minus * neg_part + cost.pi_plus * pos_part
+
+    out = _collect(grid, n_sim, seed, functional)
     bound = 0.0 if grid.degenerate else truncated_tail_bound_E(pair, cost, grid.delta)
-    _enforce_tail(bound, out, tail_frac, grid.delta)
-    return LimitDraws(out, THEOREM_EQUAL, grid.summary(), seed, bound)
+    return _finish_draws(out, THEOREM_EQUAL, grid, seed, bound, tail_frac)
 
 
 def draw_limit_W2(pair: PairSpec, grid: BridgeGrid, n_sim: int, seed: int,
                   tail_frac: Optional[float] = _DEFAULT_TAIL_FRAC,
                   require_checks: bool = True) -> LimitDraws:
     """Draws of the quadratic-regime limit int Bq(u)^2 du."""
-    if not pair.partition.is_all_E:
-        raise ValidationError("the quadratic limit requires equal marginals")
-    _require(check_w2_hypotheses(pair.dist_x), not require_checks, pair.dist_x.name)
+    if require_checks:
+        REGIMES[THEOREM_QUADRATIC].gate(pair, None)
     w = grid.weights
-    out = np.empty(n_sim)
-    done = 0
-    for bx, by in iter_bridge_paths(grid, n_sim, seed):
-        bq = _driving_process(grid, bx, by)
-        k = bq.shape[1]
-        out[done:done + k] = w @ (bq ** 2)
-        done += k
+    out = _collect(grid, n_sim, seed, lambda bx, by: w @ (_driving_process(grid, bx, by) ** 2))
     bound = 0.0 if grid.degenerate else truncated_tail_bound_W2(pair, grid.delta)
-    _enforce_tail(bound, out, tail_frac, grid.delta)
-    return LimitDraws(out, THEOREM_QUADRATIC, grid.summary(), seed, bound)
+    return _finish_draws(out, THEOREM_QUADRATIC, grid, seed, bound, tail_frac)
 
 
 def draw_limit_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
@@ -462,16 +445,8 @@ def draw_limit_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
     For b > 1 the agreement region contributes nothing at this rate and
     only the Gaussian term remains.
     """
-    b = cost.b
-    if b < 1.0:
-        raise ValidationError(f"mixed-partition limit requires b >= 1; got b = {b}")
-    if b == 1.0:
-        if (cost.b_minus == 1.0 and cost.L0_minus is None) or \
-           (cost.b_plus == 1.0 and cost.L0_plus is None):
-            raise ValidationError("b = 1 limit requires finite L_pm(0) ((Lpi))")
-    _require(check_cfg_ed(pair, cost), not require_checks,
-             f"{pair.fingerprint()} with {cost.name}")
-
+    if require_checks:
+        REGIMES[THEOREM_MIXED].gate(pair, cost)
     d_mask = pair.partition.mask(grid.u, "D")
     e_mask = pair.partition.mask(grid.u, "E")
     w = grid.weights
@@ -481,23 +456,20 @@ def draw_limit_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
         w_d[d_mask] = w[d_mask] * np.abs(derivative(cost, tau_d))
     w_e = w * e_mask
 
-    out = np.empty(n_sim)
-    done = 0
-    for bx, by in iter_bridge_paths(grid, n_sim, seed):
+    def functional(bx, by):
         bq = _driving_process(grid, bx, by)
-        k = bq.shape[1]
         vals = w_d @ bq
-        if b == 1.0 and e_mask.any():
+        if cost.b == 1.0 and e_mask.any():
             absq = np.abs(bq)
             if cost.b_minus == 1.0:
                 vals = vals + cost.L0_minus * (w_e @ np.where(bq < 0, absq, 0.0))
             if cost.b_plus == 1.0:
                 vals = vals + cost.L0_plus * (w_e @ np.where(bq > 0, absq, 0.0))
-        out[done:done + k] = vals
-        done += k
+        return vals
+
+    out = _collect(grid, n_sim, seed, functional)
     bound = 0.0 if grid.degenerate else truncated_tail_bound_ED(pair, cost, grid.delta)
-    _enforce_tail(bound, out, tail_frac, grid.delta)
-    return LimitDraws(out, THEOREM_MIXED, grid.summary(), seed, bound)
+    return _finish_draws(out, THEOREM_MIXED, grid, seed, bound, tail_frac)
 
 
 def draw_limit_one_sample(dist: DistSpec, p: float, grid: BridgeGrid, n_sim: int,
@@ -508,22 +480,144 @@ def draw_limit_one_sample(dist: DistSpec, p: float, grid: BridgeGrid, n_sim: int
     Uses the X-marginal block of the supplied grid (any coupling); the
     marginal of the joint draws is a standard bridge.
     """
-    if not 1.0 <= p < 2.0:
-        raise ValidationError(f"one-sample limit requires 1 <= p < 2; got {p}")
-    pareto_index = 2.0 * (p + 2.0) / (2.0 - p)
-    _require(check_pareto_dominance(dist, pareto_index), not require_checks, dist.name)
+    if require_checks:
+        REGIMES[THEOREM_ONE_SAMPLE].gate(equal_pair(dist), None, p)
     h = np.asarray(dist.density_quantile(grid.u), dtype=float)
     w = grid.weights
-    out = np.empty(n_sim)
-    done = 0
-    for bx, _ in iter_bridge_paths(grid, n_sim, seed):
-        scaled = np.abs(bx / h[:, None]) ** p
-        k = bx.shape[1]
-        out[done:done + k] = w @ scaled
-        done += k
+    out = _collect(grid, n_sim, seed, lambda bx, _: w @ (np.abs(bx / h[:, None]) ** p))
     bound = truncated_tail_bound_one_sample(dist, p, grid.delta)
-    _enforce_tail(bound, out, tail_frac, grid.delta)
-    return LimitDraws(out, THEOREM_ONE_SAMPLE, grid.summary(), seed, bound)
+    return _finish_draws(out, THEOREM_ONE_SAMPLE, grid, seed, bound, tail_frac)
+
+
+# ---------------------------------------------------------------------------
+# regimes: the limit theorem that a (pair, cost) falls under
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Regime:
+    """One limit theorem: whether it ``applies(pair, cost)``, its checker
+    ``check(pair, cost, p)``, the ``rate(n, cost, p)`` of the statistic,
+    whether that is ``centred`` at W(F, G), and its unchecked ``draw(pair,
+    cost, grid, n_sim, seed, tail_frac, p=p)``; only one_sample reads p."""
+
+    label: str
+    applies: Callable
+    check: Callable
+    rate: Callable
+    centred: bool
+    draw: Callable
+
+    def gate(self, pair: PairSpec, cost: Optional[CostSpec], p: float = 0.0,
+             override: bool = False, what: Optional[str] = None) -> tuple:
+        """Run the checker once: a verdict other than pass raises
+        HypothesisError, or with ``override`` becomes the returned note."""
+        report = self.check(pair, cost, p)
+        if report.verdict == PASS:
+            return ()
+        if not override:
+            raise HypothesisError(
+                f"{report.condition} checker did not pass ({report.verdict}) for "
+                f"{what or _describe(pair, cost)}; fix the configuration or override "
+                "the check")
+        return (f"checker {report.condition} = {report.verdict} (overridden)",)
+
+    def simulate(self, pair: PairSpec, cost: Optional[CostSpec], grid_shape: tuple,
+                 n_sim: int, seed: int, tail_frac: Optional[float],
+                 p: float = 0.0) -> LimitDraws:
+        """Unchecked draws on a fresh (m, delta) grid, labelled with this theorem."""
+        grid = build_bridge_grid(pair, *grid_shape)
+        return replace(self.draw(pair, cost, grid, n_sim, seed, tail_frac, p=p),
+                       theorem=self.label)
+
+
+def _describe(pair: PairSpec, cost: Optional[CostSpec]) -> str:
+    return pair.fingerprint() + (f" with {cost.name}" if cost is not None else "")
+
+
+def _bounded(dist: DistSpec) -> bool:
+    return all(math.isfinite(x) for x in dist.support)
+
+
+def _is_quadratic_near_zero(cost: CostSpec) -> bool:
+    """b = 2 on both branches with unit slowly varying factor near 0."""
+    if cost.b_minus != 2.0 or cost.b_plus != 2.0:
+        return False
+    x = np.asarray(1e-4 * cost.x0)
+    return (abs(float(cost.rho_plus(x)) / float(x) ** 2 - 1.0) < 1e-6
+            and abs(float(cost.rho_minus(x)) / float(x) ** 2 - 1.0) < 1e-6)
+
+
+def _finite_L0(cost: CostSpec) -> bool:
+    """L_pm(0) finite on each branch of index 1 ((Lpi))."""
+    return all(L0 is not None and math.isfinite(L0) for b, L0 in
+               ((cost.b_minus, cost.L0_minus), (cost.b_plus, cost.L0_plus)) if b == 1.0)
+
+
+def _check_equal(pair: PairSpec, cost: CostSpec, p: float):
+    if _bounded(pair.dist_x):
+        return check_compact(pair.dist_x, cost, max(cost.b_minus, cost.b_plus) + 0.5)
+    return check_cfg_e(pair.dist_x, cost)
+
+
+def _check_one_sample(pair: PairSpec, cost: Optional[CostSpec], p: float):
+    if not 1.0 <= p < 2.0:
+        raise ValidationError(f"one-sample limit requires 1 <= p < 2; got {p}")
+    return check_pareto_dominance(pair.dist_x, 2.0 * (p + 2.0) / (2.0 - p))
+
+
+# Checkers and draws are called through their module-level names, looked up
+# at call time, so a wrapper set on such a name sees every call; ``run`` is
+# (n_sim, seed, tail_frac).
+REGIMES = {r.label: r for r in (
+    Regime(THEOREM_EQUAL,
+           lambda pair, cost: pair.partition.is_all_E and (_bounded(pair.dist_x)
+                                                           or cost.b < 2.0),
+           _check_equal, lambda n, cost, p: rate_vn(cost, n), False,
+           lambda pair, cost, grid, *run, p: draw_limit_E(pair, cost, grid, *run, False)),
+    Regime(THEOREM_QUADRATIC,
+           lambda pair, cost: (pair.partition.is_all_E and not _bounded(pair.dist_x)
+                               and _is_quadratic_near_zero(cost)),
+           lambda pair, cost, p: check_w2_hypotheses(pair.dist_x),
+           lambda n, cost, p: float(n), False,
+           lambda pair, cost, grid, *run, p: draw_limit_W2(pair, grid, *run, False)),
+    Regime(THEOREM_GAUSSIAN,
+           lambda pair, cost: pair.partition.has_D and (
+               cost.b > 1.0 or (cost.b == 1.0 and pair.partition.is_all_D)),
+           lambda pair, cost, p: check_cfg_ed(pair, cost),
+           lambda n, cost, p: math.sqrt(n), True,
+           lambda pair, cost, grid, *run, p: draw_limit_ED(pair, cost, grid, *run, False)),
+    Regime(THEOREM_MIXED,
+           lambda pair, cost: (pair.partition.has_D and pair.partition.has_E
+                               and cost.b == 1.0 and _finite_L0(cost)),
+           lambda pair, cost, p: check_cfg_ed(pair, cost),
+           lambda n, cost, p: math.sqrt(n), True,
+           lambda pair, cost, grid, *run, p: draw_limit_ED(pair, cost, grid, *run, False)),
+    # chosen only by its label; reads the X marginal alone
+    Regime(THEOREM_ONE_SAMPLE, lambda pair, cost: False, _check_one_sample,
+           lambda n, cost, p: n ** (p / 2.0), False,
+           lambda pair, cost, grid, *run, p: draw_limit_one_sample(pair.dist_x, p, grid,
+                                                                  *run, False)),
+)}
+
+
+def select_regime(pair: PairSpec, cost: Optional[CostSpec],
+                  theorem: Optional[str] = None) -> Regime:
+    """The limit theorem that the pair and the cost fall under. A given
+    ``theorem`` label must name it; ``one_sample`` is chosen only by its
+    label. A mismatched label, or a pair and cost that no theorem covers,
+    raise ValidationError."""
+    if theorem == THEOREM_ONE_SAMPLE:
+        return REGIMES[theorem]
+    derived = next((r for r in REGIMES.values() if r.applies(pair, cost)), None)
+    if derived is None:
+        raise ValidationError(
+            f"no limit theorem covers {_describe(pair, cost)}: agreement everywhere "
+            "needs bounded support, b < 2 or a cost quadratic near 0; disagreement "
+            "needs b > 1, or b = 1 with a finite L_pm(0)")
+    if theorem is not None and theorem != derived.label:
+        raise ValidationError(f"theorem {theorem!r} does not match {_describe(pair, cost)},"
+                              f" which is {derived.label!r} (one of {tuple(REGIMES)})")
+    return derived
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +714,8 @@ def sigma2_D(pair: PairSpec, cost: CostSpec, delta: float = 1e-6,
 
     grid = build_bridge_grid(pair, m=mc_m, delta=1e-4)
     q = _weight_fn(pair, cost, grid.u) * grid.weights
-    samples = np.empty(mc_n)
-    done = 0
-    for bx, by in iter_bridge_paths(grid, mc_n, seed, chunk=2048):
-        bq = _driving_process(grid, bx, by)
-        k = bq.shape[1]
-        samples[done:done + k] = q @ bq
-        done += k
+    samples = _collect(grid, mc_n, seed, lambda bx, by: q @ _driving_process(grid, bx, by),
+                       chunk=2048)
     mc_val = float(np.var(samples))
 
     scale = max(abs(quad_val), abs(mc_val))

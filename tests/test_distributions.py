@@ -118,6 +118,15 @@ def test_warped_pareto_log_magnitude_hook():
     assert warped.log_tail_magnitude("+", ts[3]) == base.log_tail_magnitude("+", ts[3])
 
 
+@pytest.mark.parametrize("t", [20.0, 30.0, 37.0, 40.0, 60.0])
+def test_warped_exponential_log_density_beyond_warp(t):
+    # no depth hooks: the log density at depth t is read at the position t,
+    # beyond the warp, where it must be the base's -x (not 1 - cdf's rounding)
+    warped = wc.warped_dist(wc.exponential(), *wc.bump_warp(0.15, 0.2, 0.5), (0.2, 0.5))
+    assert not warped.log_density_at_depth_fn
+    assert float(warped.log_density_at_depth("+", t)) == pytest.approx(-t, rel=0, abs=1e-12)
+
+
 def test_tail_applicability():
     assert wc.gaussian().tail_applicable("-")
     assert not wc.exponential().tail_applicable("-")
