@@ -107,6 +107,12 @@ def _vacuous(condition: str, note: str, params) -> CheckReport:
     return CheckReport(condition, PASS, (), params, (note,))
 
 
+def _profile(*columns, rows: int = 40) -> tuple:
+    """Every ``len // rows``-th probe row of the columns, as float tuples."""
+    stride = max(1, len(columns[0]) // rows)
+    return tuple(tuple(map(float, r)) for r in zip(*(c[::stride] for c in columns)))
+
+
 def _margin_verdict(probes: np.ndarray, margins: np.ndarray):
     """fail if a margin in the deepest decade is negative; pass if the
     deepest-decade margins are nonnegative and trending nondecreasing."""
@@ -255,11 +261,7 @@ def _cfg_e_combo(dist: DistSpec, cost: CostSpec, side: str, branch: str,
         rhs = ys / 2 - 2.0 * log_psi_inv - theta2 * np.log(ys)
     margins = rhs - lhs
     verdict, notes = _margin_verdict(ys, margins)
-    stride = max(1, len(ys) // 40)
-    profile = tuple(
-        (float(y), float(l), float(r), float(m))
-        for y, l, r, m in zip(ys[::stride], lhs[::stride], rhs[::stride], margins[::stride])
-    )
+    profile = _profile(ys, lhs, rhs, margins)
     params["y_range"] = (float(ys[0]), float(ys[-1]))
     return CheckReport(label, verdict, profile, params, notes)
 
@@ -311,11 +313,10 @@ def _cfg_d_derivative_combo(dist: DistSpec, marg: str, cost: CostSpec, side: str
     y_lo = max(y0_l + 0.5, 1.0)
     ys = probe_grid(y_lo, max(y_hi, 10 * y_lo), n_probe)
 
-    # l^{-1} is a scalar root solve per probe; psi is one call on both
-    # finite-difference grids
+    # l^{-1} and psi are one call each on both finite-difference grids
     dy = fd_step * ys
-    xi = [cost.l_inverse_log(branch, float(y)) for y in np.concatenate([ys + dy, ys - dy])]
-    psi_up, psi_down = np.split(dist.psi_of_log_position(side, np.array(xi)), 2)
+    xi = cost.l_inverse_log(branch, np.concatenate([ys + dy, ys - dy]))
+    psi_up, psi_down = np.split(dist.psi_of_log_position(side, xi), 2)
     with np.errstate(invalid="ignore"):
         deriv = (psi_up - psi_down) / (2 * dy)
     # an infinite psi value past a finite probe means the tail is already
@@ -324,11 +325,7 @@ def _cfg_d_derivative_combo(dist: DistSpec, marg: str, cost: CostSpec, side: str
     rhs = 2.0 + 2.0 * theta / ys
     margins = deriv - rhs
     verdict, notes = _margin_verdict(ys, margins)
-    stride = max(1, len(ys) // 40)
-    profile = tuple(
-        (float(y), float(d), float(r), float(m))
-        for y, d, r, m in zip(ys[::stride], deriv[::stride], rhs[::stride], margins[::stride])
-    )
+    profile = _profile(ys, deriv, rhs, margins)
     return CheckReport(label, verdict, profile, params, notes)
 
 
@@ -350,11 +347,7 @@ def _integrated_combo(dist: DistSpec, marg: str, cost: CostSpec, side: str, bran
     rhs = ys / 2 - 2.0 * log_psi_inv - theta2 * np.log(ys)
     margins = rhs - lhs
     verdict, notes = _margin_verdict(ys, margins)
-    stride = max(1, len(ys) // 40)
-    profile = tuple(
-        (float(y), float(l), float(r), float(m))
-        for y, l, r, m in zip(ys[::stride], lhs[::stride], rhs[::stride], margins[::stride])
-    )
+    profile = _profile(ys, lhs, rhs, margins)
     return CheckReport(label, verdict, profile, params, notes)
 
 
@@ -476,9 +469,7 @@ def check_w2_hypotheses(dist: DistSpec, t_hi: float = _Y_HI) -> CheckReport:
         ok_small = tail_vals[-1] <= 1e-3
         decreasing = len(tail_vals) >= 2 and tail_vals[-1] <= tail_vals[0]
         verdict = PASS if (ok_small and decreasing) else FAIL
-        stride = max(1, len(ts_k) // 20)
-        profile = tuple((float(t), float(v), 1e-3, float(1e-3 - v))
-                        for t, v in zip(ts_k[::stride], vals_k[::stride]))
+        profile = _profile(ts_k, vals_k, np.full(len(ts_k), 1e-3), 1e-3 - vals_k, rows=20)
         subs.append(CheckReport(f"W2H(limit,{name})", verdict, profile,
                                 {"last_value": float(tail_vals[-1])}, ()))
 
@@ -571,8 +562,6 @@ def check_pareto_dominance(dist: DistSpec, index: float,
             expo = np.where(logmag > 0, ts / logmag, np.inf)
         margins = expo - index
         verdict, notes = _margin_verdict(ts, margins)
-        stride = max(1, len(ts) // 25)
-        profile = tuple((float(t), float(e), float(index), float(m))
-                        for t, e, m in zip(ts[::stride], expo[::stride], margins[::stride]))
+        profile = _profile(ts, expo, np.full(len(ts), float(index)), margins, rows=25)
         subs.append(CheckReport(label, verdict, profile, {"index": index}, notes))
     return _combine("PARETO_DOM", subs, {"dist": dist.name, "index": index})

@@ -66,11 +66,10 @@ def _cmd_test(args) -> int:
     null_spec = _load_yaml(args.null)
     null_pair = resolve_pair(null_spec["pair"] if "pair" in null_spec else null_spec)
     cost = _parse_cost_arg(args.cost)
-    result = two_sample_test(
-        sample, null_pair, cost,
-        level=args.level, n_sim=args.nsim, seed=args.seed,
-        override_checks=args.override_checks,
-    )
+    # flags left out are absent from args: two_sample_test's defaults apply
+    given = {k: v for k, v in vars(args).items() if k in ("level", "n_sim", "seed")}
+    result = two_sample_test(sample, null_pair, cost,
+                             override_checks=args.override_checks, **given)
     _emit_json(result.to_dict(), args.out)
     return 0
 
@@ -148,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--data", required=True)
     p_test.add_argument("--null", required=True, help="YAML with the null pair spec")
     p_test.add_argument("--cost", required=True)
-    p_test.add_argument("--level", type=float, default=0.05)
-    p_test.add_argument("--nsim", type=int, default=5000)
-    p_test.add_argument("--seed", type=int, default=7)
+    p_test.add_argument("--level", type=float, default=argparse.SUPPRESS)
+    p_test.add_argument("--nsim", dest="n_sim", type=int, default=argparse.SUPPRESS)
+    p_test.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_test.add_argument("--override-checks", action="store_true")
     p_test.add_argument("--out", default=None)
     p_test.set_defaults(fn=_cmd_test)

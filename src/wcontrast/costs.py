@@ -29,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .tails import bisect_floats
 
 __all__ = [
     "CostSpec",
@@ -100,27 +101,23 @@ class CostSpec:
         with np.errstate(divide="ignore", over="ignore"):
             return np.log(self.branch(side)(x))
 
-    def l_inverse_log(self, side: str, y: float) -> float:
-        """xi with log rho_side(exp(xi)) = y, by bracketed bisection."""
-        from scipy.optimize import brentq
+    def l_inverse_log(self, side: str, y):
+        """xi with log rho_side(exp(xi)) = y: the least double at which
+        ``l_of_log`` reaches ``y``, exact to one ulp (``bisect_floats``),
+        elementwise over an array of targets. A target beyond the reach of
+        ``l_of_log`` raises ``DomainError``.
+        """
+        y = np.asarray(y, dtype=float)
+        top = np.finfo(float).max
 
-        def f(xi):
-            return float(self.l_of_log(side, xi)) - y
+        def reaches(xi):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self.l_of_log(side, xi) >= y
 
-        lo = math.log(self.y0)
-        if f(lo) > 0:            # y below the tail regime; expand downward
-            while f(lo) > 0 and lo > -60:
-                lo -= 5.0
-        hi = lo + 1.0
-        step = 1.0
-        for _ in range(200):
-            if f(hi) > 0:
-                break
-            hi += step
-            step *= 1.5
-        else:
-            raise DomainError(f"cost {self.name}: could not bracket l{side}^-1({y})")
-        return float(brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
+        if not np.all(reaches(top)):
+            raise DomainError(f"cost {self.name}: l{side}^-1({y.max():g}) is beyond reach")
+        xi = bisect_floats(reaches, -top, top)
+        return float(xi) if y.ndim == 0 else xi
 
     def envelope(self, x) -> np.ndarray:
         """rho(x) = max(rho_plus(x), rho_minus(x)) on x > 0."""

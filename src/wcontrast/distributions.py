@@ -24,11 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import stats
-from scipy.optimize import brentq
 from scipy.special import ndtri_exp, roots_legendre
 
 from .errors import DomainError, ValidationError
 from .seeding import derive_rng
+from .tails import bisect_floats
 
 __all__ = [
     "DistSpec",
@@ -137,11 +137,6 @@ class DistSpec:
             return np.asarray(fn(t), dtype=float)
         return np.asarray(self.log_density(self.tail_quantile(side, t)), dtype=float)
 
-    def psi_inverse(self, side: str, y) -> np.ndarray:
-        """psi_side^{-1}(y) as a magnitude (>= 0 for y large)."""
-        x = self.tail_quantile(side, y)
-        return x if side == RIGHT else -x
-
     def psi_of_log_position(self, side: str, xi) -> np.ndarray:
         """psi_side(exp(xi)); +inf where the position exceeds the support."""
         xi = np.asarray(xi, dtype=float)
@@ -158,70 +153,35 @@ class DistSpec:
 
 
 def _invert_log_tail(dist: DistSpec, side: str, ts: np.ndarray) -> np.ndarray:
-    """Positions at tail depths ``ts`` by vectorized bisection on the log
-    tail mass (log sf on the right, log cdf on the left).
-
-    Depths unreachable in float saturate at the support edge.
+    """Positions at tail depths ``ts``: moving into the tail, the first double
+    at which the log tail mass (log sf on the right, log cdf on the left,
+    clamped at -1e18) falls to ``-t``, exact to one ulp at any magnitude
+    (``bisect_floats`` over the support clipped to +-max double). Depths past
+    a bounded side's reach saturate at its edge; on an unbounded side, where
+    the mass at max double stays above ``-t`` or underflows to -inf before
+    ``-t``, they raise ``DomainError``.
     """
-    ts = np.asarray(ts, dtype=float)
-    shape = ts.shape
-    t = np.atleast_1d(ts).ravel()
-    target = -t
-    lo_s, hi_s = dist.support
+    t = np.asarray(ts, dtype=float)
     sign = 1.0 if side == RIGHT else -1.0
+    top = np.finfo(float).max
+    inner, edge = sorted(sign * s for s in dist.support)
+    inner, reach = max(inner, -top), min(edge, top)
 
-    def mass(x):
-        raw = dist.log_sf(x) if side == RIGHT else dist.log_cdf(x)
-        return np.maximum(np.asarray(raw, dtype=float), -1e18)
+    def log_mass(y):
+        with np.errstate(over="ignore"):     # positions near +-max double
+            raw = dist.log_sf(y) if side == RIGHT else dist.log_cdf(-y)
+        return np.asarray(raw, dtype=float)
 
-    # inner endpoint: walk toward the center until the mass exceeds every target
-    inner = np.full_like(t, float(dist.quantile(0.5)))
-    step = 1.0
-    for _ in range(200):
-        bad = mass(inner) < target
-        if not bad.any():
-            break
-        inner = np.where(bad, inner - sign * step, inner)
-        step *= 2.0
-    # outer endpoint: walk into the tail until the mass drops below the target
-    edge = hi_s if side == RIGHT else lo_s
-    cap = float(np.nextafter(edge, -sign * np.inf)) if np.isfinite(edge) else sign * np.inf
-    outer = inner + sign
-    step = 1.0
-    saturated = np.zeros(t.shape, dtype=bool)
-    for _ in range(400):
-        if np.isfinite(cap):
-            hit = (outer - cap) * sign >= 0
-            outer = np.where(hit, cap, outer)
-        done = mass(outer) <= target
-        if np.isfinite(cap):
-            saturated = (outer == cap) & ~done
-            done = done | saturated
-        if done.all():
-            break
-        outer = np.where(done, outer, outer + sign * step)
-        step *= 1.7
-    else:
-        raise DomainError(f"{dist.name}: could not bracket tail depths on side {side}")
-
-    lo = np.minimum(inner, outer)
-    hi = np.maximum(inner, outer)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        high_mass = mass(mid) >= target     # still inside: move toward the tail
-        if side == RIGHT:
-            lo = np.where(high_mass, mid, lo)
-            hi = np.where(high_mass, hi, mid)
-        else:
-            hi = np.where(high_mass, mid, hi)
-            lo = np.where(high_mass, lo, mid)
-    out = 0.5 * (lo + hi)
-    if np.isfinite(cap):
-        out = np.where(saturated, edge, out)
-    return out.reshape(shape)
+    x = bisect_floats(lambda y: np.maximum(log_mass(y), -1e18) <= -t, inner, reach)
+    if edge == np.inf:
+        # a mass that underflowed to -inf before the depth says nothing of it
+        m = log_mass(x)
+        if not np.all(np.isfinite(m) & (m <= -t)):
+            raise DomainError(f"{dist.name}: tail depths beyond float reach on side {side}")
+    return sign * x
 
 
-def _roundtrip_guard(frozen, lo, hi):
+def _roundtrip_guard(frozen):
     # probe parameters early so bad families fail at construction
     us = np.array([1e-6, 0.1, 0.5, 0.9, 1 - 1e-6])
     xs = frozen.ppf(us)
@@ -233,7 +193,7 @@ def dist_from_scipy(name: str, frozen, *, density_quantile=None, params=None,
                     tail_quantile_fn=None, log_tail_magnitude_fn=None,
                     log_density_at_depth_fn=None) -> DistSpec:
     lo, hi = frozen.support()
-    _roundtrip_guard(frozen, lo, hi)
+    _roundtrip_guard(frozen)
     if density_quantile is None:
         def density_quantile(u, _f=frozen):
             return _f.pdf(_f.ppf(np.asarray(u, dtype=float)))
@@ -465,16 +425,12 @@ def warped_dist(base: DistSpec, warp: Callable, dwarp: Callable,
     warp_top = x_hi + float(np.max(warp(us)))
 
     def cdf(x):
-        arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr).ravel()
-        out = np.asarray(base.cdf(flat), dtype=float).copy()
-        inside = (flat > x_lo) & (flat < warp_top)
-        for i in np.nonzero(inside)[0]:
-            xi = float(flat[i])
-            out[i] = brentq(lambda v: float(quantile(np.asarray(v))) - xi,
-                            1e-15, 1 - 1e-15, xtol=1e-15, rtol=8.9e-16)
-        out = out.reshape(np.atleast_1d(arr).shape)
-        return float(out[0]) if arr.ndim == 0 else out
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.array(base.cdf(arr), dtype=float)
+        inside = (arr > x_lo) & (arr < warp_top)
+        xs = arr[inside]
+        out[inside] = bisect_floats(lambda v: quantile(v) >= xs, 0.0, 1.0)
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     # the base's values where the warp vanishes, as in log_cdf and log_sf
     def density(x):
@@ -652,7 +608,7 @@ def _validate_copula(copula_fn, grid_n: int = 64) -> None:
 
 
 def _sample_custom_copula(copula_fn, n: int, rng: np.random.Generator):
-    """Conditional inversion: V solves dC/du(u, v) = w by vectorized bisection."""
+    """Conditional inversion: V is the least v with dC/du(u, v) >= w."""
     u = rng.random(n)
     w = rng.random(n)
     h = 1e-6
@@ -661,14 +617,8 @@ def _sample_custom_copula(copula_fn, n: int, rng: np.random.Generator):
         return (np.asarray(copula_fn(np.minimum(u_ + h, 1.0), v_))
                 - np.asarray(copula_fn(np.maximum(u_ - h, 0.0), v_))) / (2 * h)
 
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        below = cond(u, mid) < w
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return u, 0.5 * (lo + hi)
+    # v stays below 1, where the marginal quantiles are finite
+    return u, bisect_floats(lambda v: cond(u, v) >= w, 0.0, np.nextafter(1.0, 0.0))
 
 
 def independent() -> CouplingSpec:
@@ -783,10 +733,6 @@ class PairSpec:
         u = np.asarray(u, dtype=float)
         return np.asarray(self.dist_x.quantile(u), dtype=float) - np.asarray(
             self.dist_y.quantile(u), dtype=float)
-
-    @property
-    def same_marginals(self) -> bool:
-        return self.dist_x is self.dist_y
 
     def fingerprint(self) -> str:
         cop = self.coupling.kind + (f"[{self.coupling.rho}]" if self.coupling.rho else "")

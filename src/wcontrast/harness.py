@@ -37,8 +37,8 @@ from .errors import ValidationError
 from .estimator import PairedSample, QuadratureSpec, w_cost_empirical, \
     w_cost_population
 from .inference import wp_distance_to_dist
-from .limitlaw import (DEFAULT_GRID, REGIMES, THEOREM_ONE_SAMPLE, LimitDraws,
-                       select_regime)
+from .limitlaw import (_DEFAULT_TAIL_FRAC, DEFAULT_GRID, REGIMES, THEOREM_ONE_SAMPLE,
+                       LimitDraws, select_regime)
 from .seeding import derive_rng
 
 __all__ = [
@@ -106,7 +106,7 @@ class ExperimentConfig:
         other than pass raises unless check_policy is "override"."""
         regime = REGIMES[self.theorem]
         regime.gate(self.pair, self.cost, self.p, self.check_policy == "override")
-        tail_frac = 0.05 if self.tail_policy == "raise" else None
+        tail_frac = _DEFAULT_TAIL_FRAC if self.tail_policy == "raise" else None
         return regime.simulate(self.pair, self.cost, (self.grid_m, self.grid_delta),
                                self.n_sim, self.seed, tail_frac, self.p)
 

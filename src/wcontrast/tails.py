@@ -12,8 +12,9 @@ the integrand becomes ``g(t) = s * phi(s)`` and
 * evaluation stays stable arbitrarily deep in the tail because all inputs
   are supplied in log scale (no quantile or survival value ever underflows).
 
-All routines take ``log_g``: a vectorized callable of the depth ``t``
-returning ``log g(t)`` (``-inf`` allowed).
+The integral routines take ``log_g``: a vectorized callable of the depth
+``t`` returning ``log g(t)`` (``-inf`` allowed). ``bisect_floats`` is the
+package's one inverse of monotone functions (tail positions, the log-cost).
 """
 
 from __future__ import annotations
@@ -107,6 +108,40 @@ def assess_tail(log_g, t_lo: float, t_hi: float = 1e6, n: int = 160) -> TailAsse
 
 def probe_grid(t_lo: float, t_hi: float, n: int = 160) -> np.ndarray:
     return np.geomspace(t_lo, t_hi, n)
+
+
+def _float_key(x) -> np.ndarray:
+    """int64 keys ordered like the doubles ``x`` (both zeros map to 0)."""
+    i = np.array(x, dtype=float).view(np.int64)
+    return np.where(i >= 0, i, -(i & np.iinfo(np.int64).max))
+
+
+def _key_float(k: np.ndarray) -> np.ndarray:
+    return np.where(k >= 0, k, -k | np.iinfo(np.int64).min).view(float)
+
+
+def bisect_floats(pred, lo, hi) -> np.ndarray:
+    """Smallest double in ``(lo, hi]`` at which ``pred`` holds, elementwise.
+
+    ``pred`` maps doubles to booleans and must be False and then True along
+    each element's interval; ``lo`` and ``hi`` broadcast against its
+    values. Where it never holds the result is ``hi``. ``pred`` is evaluated
+    in ``[lo, hi)`` only, at ``lo`` just for elements already settled (their
+    values there are ignored), and at ``hi`` only where ``lo == hi``. The
+    bisection runs on the ordered integer keys of the doubles, so it needs
+    no bracket search, makes at most 64 calls of ``pred`` and is exact to
+    one ulp at any magnitude.
+    """
+    a, b = np.broadcast_arrays(_float_key(lo), _float_key(hi))
+    while True:
+        # key gaps across the whole double range exceed int64, not uint64
+        open_ = (b.view(np.uint64) - a.view(np.uint64)) > 1
+        if not open_.any():
+            return _key_float(b)
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)
+        holds = np.asarray(pred(_key_float(mid)), dtype=bool)
+        a = np.where(open_ & ~holds, mid, a)
+        b = np.where(open_ & holds, mid, b)
 
 
 def stabilized_running_max(values: np.ndarray, depth: np.ndarray, rel_tol: float = 0.01):

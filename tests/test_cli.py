@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from wcontrast import cli
 from wcontrast.cli import main
+from wcontrast.errors import ValidationError
 
 
 @pytest.fixture()
@@ -54,6 +56,21 @@ def test_test_subcommand(data_csv, null_yaml, tmp_path):
     payload = json.loads(out.read_text())
     assert set(payload) >= {"statistic", "scaled_statistic", "p_value", "reject"}
     assert 0.0 < payload["p_value"] <= 1.0
+
+
+def test_test_subcommand_passes_only_given_flags(data_csv, null_yaml, monkeypatch):
+    # two_sample_test's signature is the one source of the level, n_sim
+    # and seed defaults
+    seen = {}
+
+    def fake_test(sample, pair, cost, **kwargs):
+        seen.update(kwargs)
+        raise ValidationError("stop")
+
+    monkeypatch.setattr(cli, "two_sample_test", fake_test)
+    assert main(["test", "--data", str(data_csv), "--null", str(null_yaml),
+                 "--cost", '{"family": "power", "p": 1.5}', "--seed", "3"]) == 2
+    assert seen == {"override_checks": False, "seed": 3}
 
 
 def test_check_subcommand(study_yaml, tmp_path, capsys):

@@ -191,6 +191,34 @@ def test_b1_requires_finite_L0():
         wc.spliced_cost(rho, rho, b=(1.0, 1.0))
 
 
+@pytest.mark.parametrize("cost", ALL_BUILTINS, ids=lambda c: c.name)
+def test_l_inverse_log_batched_matches_scalar_and_closed_form(cost):
+    # a probe grid in one call equals probe-by-probe calls bit for bit, and
+    # the closed form (y - log a_pm) / b_pm of a_pm x^b_pm (y / p for the
+    # power costs) to 2 ulp of the larger of the result and y / b_pm
+    ys = np.geomspace(0.5, 1e6, 97)
+    for side, L, b in (("-", cost.L_minus, cost.b_minus), ("+", cost.L_plus, cost.b_plus)):
+        batched = cost.l_inverse_log(side, ys)
+        scalar = np.array([cost.l_inverse_log(side, float(y)) for y in ys])
+        assert np.array_equal(batched, scalar), side
+        exact = (ys - np.log(float(L(1.0)))) / b
+        ulp = np.spacing(np.maximum(np.abs(exact), ys / b))
+        assert np.all(np.abs(batched - exact) <= 2 * ulp), side
+
+
+def test_l_inverse_log_beyond_reach_is_domain_error():
+    # with no log_rho, l(xi) = log rho(exp(min(xi, 709))) never exceeds 709
+    def ident(x):
+        return np.asarray(x, dtype=float)
+
+    cost = wc.spliced_cost(ident, ident, b=(1.0, 1.0), L0=(1.0, 1.0))
+    assert cost.l_inverse_log("+", 5.0) == pytest.approx(5.0, rel=1e-15)
+    with pytest.raises(DomainError):
+        cost.l_inverse_log("+", 2000.0)
+    with pytest.raises(DomainError):
+        cost.l_inverse_log("-", np.array([5.0, 2000.0]))
+
+
 def test_abs_moment_normal():
     assert abs_moment_normal(1.0) == pytest.approx(math.sqrt(2 / math.pi))
     assert abs_moment_normal(2.0) == pytest.approx(1.0)

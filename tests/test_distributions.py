@@ -127,6 +127,47 @@ def test_warped_exponential_log_density_beyond_warp(t):
     assert float(warped.log_density_at_depth("+", t)) == pytest.approx(-t, rel=0, abs=1e-12)
 
 
+TAIL_DEPTHS = np.array([10.0, 50.0, 100.0, 150.0, 300.0, 600.0])
+
+
+def _beta22_left(t):
+    # F(x) = 3x^2 - 2x^3 = e^-t: sqrt(e^-t / 3) holds to 1e-15 once t >= 100
+    return np.where(t >= 100, np.sqrt(np.exp(-t) / 3), stats.beta.ppf(np.exp(-t), 2, 2))
+
+
+def _weibull3_left(t):
+    return (-np.log1p(-np.exp(-t))) ** (1 / 3)
+
+
+@pytest.mark.parametrize("dist,position,log_density", [
+    (wc.beta_dist(2, 2), _beta22_left, lambda x: np.log(6 * x * (1 - x))),
+    (wc.weibull(3.0), _weibull3_left, lambda x: np.log(3 * x ** 2) - x ** 3),
+], ids=["beta(2,2)", "weibull(3)"])
+def test_generic_left_tail_keeps_every_digit(dist, position, log_density):
+    # hook-free inversion on a bounded side: positions far below 1e-33
+    # (down to 1e-131 at t = 600) come out to rounding
+    assert "-" not in dist.tail_quantile_fn and "-" not in dist.log_density_at_depth_fn
+    x = position(TAIL_DEPTHS)
+    assert np.allclose(dist.tail_quantile("-", TAIL_DEPTHS), x, rtol=1e-12, atol=0)
+    assert np.allclose(dist.log_density_at_depth("-", TAIL_DEPTHS), log_density(x),
+                       rtol=1e-12, atol=0)
+
+
+def test_generic_tail_beyond_float_reach_is_domain_error():
+    # log sf of Pareto(1/2) is -log(x)/2 >= -355 on the doubles
+    heavy = dist_from_scipy("pareto(0.5)", stats.pareto(0.5))
+    assert float(heavy.tail_quantile("+", 100.0)) == pytest.approx(math.exp(200.0), rel=1e-12)
+    with pytest.raises(DomainError):
+        heavy.tail_quantile("+", np.array([100.0, 1000.0]))
+    # scipy's pareto.logsf(x) = -2 log x turns -inf near x = 6e161, t = 745;
+    # e^(t/2) at t = 1000 lies past that point, so no position is returned
+    light = dist_from_scipy("pareto(2)", stats.pareto(2.0))
+    assert float(light.tail_quantile("+", 500.0)) == pytest.approx(math.exp(250.0), rel=1e-12)
+    for t in (745.0, 1000.0, 1e6):
+        with pytest.raises(DomainError):
+            light.tail_quantile("+", t)
+
+
 def test_tail_applicability():
     assert wc.gaussian().tail_applicable("-")
     assert not wc.exponential().tail_applicable("-")

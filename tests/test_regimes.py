@@ -183,3 +183,22 @@ def test_no_dispatch_outside_the_regime_table(module):
             names.extend(alias.name for alias in node.names)
         found += [n for n in names if n in DISPATCH_ONLY or n.startswith("draw_limit_")]
     assert not found, f"{module} dispatches directly: {found}"
+
+
+def test_one_root_finder():
+    # monotone inverses go through tails.bisect_floats: no module imports
+    # scipy.optimize or reaches for brentq
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names
+                      if n.startswith("scipy.optimize") or n.endswith("brentq")]
+    assert not found, found
