@@ -58,8 +58,12 @@ INCONCLUSIVE = "inconclusive"
 
 _DEFAULT_THETA2 = 0.5
 _DEFAULT_THETA_PM = (1.5, 1.5)
-_Y_HI = 1e6
-_N_PROBE = 160
+# the probe design is fixed; each report records it in parameters_used
+_Y_HI = 1e6                       # deepest tail depth probed
+_N_PROBE = 160                    # probes per growth-margin grid
+_FD_STEP = 1e-5                   # relative finite-difference step
+_FG_T_MAX = -math.log(1e-8)       # FG tails probed to u in [1e-8, 1 - 1e-8]
+_SIDES = ((LEFT, "left"), (RIGHT, "right"))
 
 
 @dataclass(frozen=True)
@@ -158,8 +162,7 @@ def _log_L_envelope(cost: CostSpec, x: np.ndarray) -> np.ndarray:
 # FG conditions
 # ---------------------------------------------------------------------------
 
-def check_fg(dist: DistSpec, fd_step: float = 1e-5,
-             t_max: "float | None" = None) -> CheckReport:
+def check_fg(dist: DistSpec) -> CheckReport:
     """FG1 (positive density), FG2 and FG3 supremum stabilization.
 
     Tail portions are evaluated in depth coordinates where
@@ -167,55 +170,45 @@ def check_fg(dist: DistSpec, fd_step: float = 1e-5,
     cancellation; the sup must stabilize (relative growth < 1% over the
     deepest decade of tail mass, per side).
     """
-    params = {"fd_step": fd_step, "dist": dist.name}
+    params = {"fd_step": _FD_STEP, "dist": dist.name}
     notes = []
 
     # FG1: positive density strictly inside the support
     us = np.linspace(1e-3, 1 - 1e-3, 997)
-    dens = np.asarray(dist.density(dist.quantile(us)), dtype=float)
-    if np.any(dens <= 0.0) or np.any(~np.isfinite(dens)):
-        bad = us[np.nonzero((dens <= 0.0) | ~np.isfinite(dens))[0][0]]
+    x_int = np.asarray(dist.quantile(us), dtype=float)
+    dens = np.asarray(dist.density(x_int), dtype=float)
+    bad = (dens <= 0.0) | ~np.isfinite(dens)
+    if bad.any():
         return CheckReport(
             "FG", FAIL, (), params,
-            (f"density vanishes in the interior near u = {bad:.4g} ((FG1))",),
+            (f"density vanishes in the interior near u = {us[np.argmax(bad)]:.4g} ((FG1))",),
         )
     if not dist.smooth_declared:
         notes.append("C2 smoothness declared, not verified ((FG1))")
 
-    t_hi = t_max if t_max is not None else -math.log(1e-8)   # matches u in [1e-8, 1-1e-8]
+    # FG2 and FG3 terms: at interior points in u, then along each tail in depth t
+    s_int = np.minimum(us, 1 - us)
+    h_int = np.asarray(dist.density_quantile(us), dtype=float)
+    du = _FD_STEP * s_int
+    dlogh = (np.log(dist.density_quantile(us + du))
+             - np.log(dist.density_quantile(us - du))) / (2 * du)
+    pieces = {"FG2": [(-np.log(s_int), s_int * np.abs(dlogh))],
+              "FG3": [(-np.log(s_int), s_int / ((np.abs(x_int) + 1.0) * h_int))]}
+    ts = np.linspace(math.log(2.0), _FG_T_MAX, 500)
+    dt = _FD_STEP * ts
+    for side in (LEFT, RIGHT):
+        logh_p = dist.log_density_at_depth(side, ts + dt)
+        logh_m = dist.log_density_at_depth(side, ts - dt)
+        x = dist.tail_quantile(side, ts)
+        logf = dist.log_density_at_depth(side, ts)
+        for cond, vals in (("FG2", np.abs(logh_p - logh_m) / (2 * dt)),
+                           ("FG3", np.exp(-ts - np.log(np.abs(x) + 1.0) - logf))):
+            keep = np.isfinite(vals)
+            pieces[cond].append((ts[keep], vals[keep]))
     subreports = []
-    for cond in ("FG2", "FG3"):
-        vals_all, depth_all = [], []
-        # interior: direct evaluation in u
-        h_int = np.asarray(dist.density_quantile(us), dtype=float)
-        du = fd_step * np.minimum(us, 1 - us)
-        dlogh = (np.log(dist.density_quantile(us + du))
-                 - np.log(dist.density_quantile(us - du))) / (2 * du)
-        s_int = np.minimum(us, 1 - us)
-        if cond == "FG2":
-            vals = s_int * np.abs(dlogh)
-        else:
-            x_int = np.asarray(dist.quantile(us), dtype=float)
-            vals = s_int / ((np.abs(x_int) + 1.0) * h_int)
-        vals_all.append(vals)
-        depth_all.append(-np.log(s_int))
-        # tails: depth coordinates per side
-        for side in (LEFT, RIGHT):
-            ts = np.linspace(math.log(2.0), t_hi, 500)
-            if cond == "FG2":
-                dt = fd_step * ts
-                logh_p = dist.log_density_at_depth(side, ts + dt)
-                logh_m = dist.log_density_at_depth(side, ts - dt)
-                tail_vals = np.abs(logh_p - logh_m) / (2 * dt)
-            else:
-                x = dist.tail_quantile(side, ts)
-                logf = dist.log_density_at_depth(side, ts)
-                tail_vals = np.exp(-ts - np.log(np.abs(x) + 1.0) - logf)
-            keep = np.isfinite(tail_vals)
-            vals_all.append(tail_vals[keep])
-            depth_all.append(ts[keep])
-        values = np.concatenate(vals_all)
-        depth = np.concatenate(depth_all)
+    for cond, parts in pieces.items():
+        depth = np.concatenate([d for d, _ in parts])
+        values = np.concatenate([v for _, v in parts])
         sup, stable = stabilized_running_max(values, depth)
         if not np.isfinite(sup):
             verdict = FAIL
@@ -238,60 +231,66 @@ def check_fg(dist: DistSpec, fd_step: float = 1e-5,
 # ---------------------------------------------------------------------------
 
 _LPSY_BOTH = ((RIGHT, "+"), (RIGHT, "-"), (LEFT, "-"), (LEFT, "+"))
+_CFG_E_COMBOS = {"both": _LPSY_BOTH, "right": _LPSY_BOTH[:2], "left": _LPSY_BOTH[2:]}
 
 
-def _cfg_e_combo(dist: DistSpec, cost: CostSpec, side: str, branch: str,
-                 theta2: float, y_hi: float, n_probe: int) -> CheckReport:
-    label = f"CFG_E(l{branch}, psi{side})"
-    params = {"theta2": theta2, "branch": branch, "side": side}
+def _probe_ys(y_lo: float) -> np.ndarray:
+    """Log-spaced tail depths from ``y_lo`` to ``_Y_HI``, or a decade deeper."""
+    return probe_grid(y_lo, max(_Y_HI, 10 * y_lo), _N_PROBE)
+
+
+def _growth_combo(dist: DistSpec, cost: CostSpec, side: str, branch: str,
+                  theta2: float, b: float, label: str, params: dict,
+                  record_range: bool = False) -> CheckReport:
+    """Margins of ``l(psi^{-1}(y)) <= (1 - b/2) y + log L(e^{-y/2})
+    - 2 log psi^{-1}(y) - theta2 log y`` on one branch and tail, with y/2 in
+    place of the first two terms for b <= 1. CFG_E passes the cost's b and
+    records its probe range; CFG_D(ii) passes b = 1."""
     if not dist.tail_applicable(side):
         return _vacuous(label, "tail beyond the support: condition holds trivially", params)
     y_lo = float(dist.psi_plus(cost.y0) if side == RIGHT else dist.psi_minus(cost.y0))
     if not np.isfinite(y_lo):
         return _vacuous(label, "bounded support: cost tail regime unreachable", params)
-    y_lo = max(y_lo, 1.5)
-    ys = probe_grid(y_lo, max(y_hi, 10 * y_lo), n_probe)
+    ys = _probe_ys(max(y_lo, 1.5))
     log_psi_inv = dist.log_tail_magnitude(side, ys)
     lhs = cost.l_of_log(branch, log_psi_inv)
-    b = cost.b
     if b > 1.0:
-        rhs = (1 - b / 2) * ys + _log_L_envelope(cost, np.exp(-ys / 2)) \
-            - 2.0 * log_psi_inv - theta2 * np.log(ys)
+        growth = (1 - b / 2) * ys + _log_L_envelope(cost, np.exp(-ys / 2))
     else:
-        rhs = ys / 2 - 2.0 * log_psi_inv - theta2 * np.log(ys)
+        growth = ys / 2
+    rhs = growth - 2.0 * log_psi_inv - theta2 * np.log(ys)
     margins = rhs - lhs
     verdict, notes = _margin_verdict(ys, margins)
     profile = _profile(ys, lhs, rhs, margins)
-    params["y_range"] = (float(ys[0]), float(ys[-1]))
+    if record_range:
+        params["y_range"] = (float(ys[0]), float(ys[-1]))
     return CheckReport(label, verdict, profile, params, notes)
 
 
-def check_cfg_e(dist: DistSpec, cost: CostSpec, theta2: float = _DEFAULT_THETA2,
-                tails: str = "both", y_hi: float = _Y_HI,
-                n_probe: int = _N_PROBE) -> CheckReport:
+def check_cfg_e(dist: DistSpec, cost: CostSpec, theta2: float = _DEFAULT_THETA2) -> CheckReport:
     """Tail compatibility of the cost with a common marginal law (code CFG_E).
 
     For each combination of log-cost branch and tail exponent the margin of
     the growth inequality is profiled over tail depths; requires b < 2
     (quadratic-regime costs route to ``check_w2_hypotheses``).
     """
+    return _cfg_e(dist, cost, theta2, "both")
+
+
+def _cfg_e(dist: DistSpec, cost: CostSpec, theta2: float, tails: str) -> CheckReport:
+    """CFG_E on the tails named by ``tails``: 'both', 'left' or 'right'."""
     if cost.b >= 2.0:
         raise ValidationError(
             "CFG_E applies to costs with b < 2; for the b = 2 regime use "
             "check_w2_hypotheses (quadratic-cost hypotheses)"
         )
-    if tails == "both":
-        combos = _LPSY_BOTH
-    elif tails == "right":
-        combos = ((RIGHT, "+"), (RIGHT, "-"))
-    elif tails == "left":
-        combos = ((LEFT, "-"), (LEFT, "+"))
-    else:
-        raise ValidationError(f"tails must be 'both', 'left' or 'right'; got {tails!r}")
-    subs = [_cfg_e_combo(dist, cost, side, branch, theta2, y_hi, n_probe)
-            for side, branch in combos]
+    subs = [_growth_combo(dist, cost, side, branch, theta2, cost.b,
+                          f"CFG_E(l{branch}, psi{side})",
+                          {"theta2": theta2, "branch": branch, "side": side},
+                          record_range=True)
+            for side, branch in _CFG_E_COMBOS[tails]]
     params = {"theta2": theta2, "tails": tails, "dist": dist.name, "cost": cost.name,
-              "b": cost.b, "y_hi": y_hi}
+              "b": cost.b, "y_hi": _Y_HI}
     notes = ()
     if not cost.tail_regularity_declared:
         notes = ("cost tail-regularity condition (L') declared, not verified",)
@@ -303,18 +302,16 @@ def check_cfg_e(dist: DistSpec, cost: CostSpec, theta2: float = _DEFAULT_THETA2,
 # ---------------------------------------------------------------------------
 
 def _cfg_d_derivative_combo(dist: DistSpec, marg: str, cost: CostSpec, side: str,
-                            branch: str, theta: float, y_hi: float,
-                            n_probe: int, fd_step: float) -> CheckReport:
+                            branch: str, theta: float) -> CheckReport:
     label = f"CFG_D(i)(l{branch}, psi_{marg}{side})"
     params = {"theta": theta, "branch": branch, "side": side, "marginal": marg}
     if not dist.tail_applicable(side):
         return _vacuous(label, "tail beyond the support: condition holds trivially", params)
     y0_l = float(cost.l_of_log(branch, math.log(cost.y0)))
-    y_lo = max(y0_l + 0.5, 1.0)
-    ys = probe_grid(y_lo, max(y_hi, 10 * y_lo), n_probe)
+    ys = _probe_ys(max(y0_l + 0.5, 1.0))
 
     # l^{-1} and psi are one call each on both finite-difference grids
-    dy = fd_step * ys
+    dy = _FD_STEP * ys
     xi = cost.l_inverse_log(branch, np.concatenate([ys + dy, ys - dy]))
     psi_up, psi_down = np.split(dist.psi_of_log_position(side, xi), 2)
     with np.errstate(invalid="ignore"):
@@ -329,28 +326,6 @@ def _cfg_d_derivative_combo(dist: DistSpec, marg: str, cost: CostSpec, side: str
     return CheckReport(label, verdict, profile, params, notes)
 
 
-def _integrated_combo(dist: DistSpec, marg: str, cost: CostSpec, side: str, branch: str,
-                      theta2: float, y_hi: float, n_probe: int,
-                      label_prefix: str) -> CheckReport:
-    """Shared form of the integrated tail bound (the b = 1 style inequality)."""
-    label = f"{label_prefix}(l{branch}, psi_{marg}{side})"
-    params = {"theta2": theta2, "branch": branch, "side": side, "marginal": marg}
-    if not dist.tail_applicable(side):
-        return _vacuous(label, "tail beyond the support: condition holds trivially", params)
-    y_lo = float(dist.psi_plus(cost.y0) if side == RIGHT else dist.psi_minus(cost.y0))
-    if not np.isfinite(y_lo):
-        return _vacuous(label, "bounded support: cost tail regime unreachable", params)
-    y_lo = max(y_lo, 1.5)
-    ys = probe_grid(y_lo, max(y_hi, 10 * y_lo), n_probe)
-    log_psi_inv = dist.log_tail_magnitude(side, ys)
-    lhs = cost.l_of_log(branch, log_psi_inv)
-    rhs = ys / 2 - 2.0 * log_psi_inv - theta2 * np.log(ys)
-    margins = rhs - lhs
-    verdict, notes = _margin_verdict(ys, margins)
-    profile = _profile(ys, lhs, rhs, margins)
-    return CheckReport(label, verdict, profile, params, notes)
-
-
 def _tail_liminf_zero(pair: PairSpec, side: str) -> bool:
     """Heuristic probe of liminf |F^{-1} - G^{-1}| = 0 along a tail."""
     ks = np.arange(2, 13)
@@ -361,15 +336,13 @@ def _tail_liminf_zero(pair: PairSpec, side: str) -> bool:
         return False
     if vals[-1] < 1e-3:
         return True
-    last = vals[-6:] if len(vals) >= 6 else vals
-    decreasing = np.all(np.diff(last) < 0)
+    decreasing = np.all(np.diff(vals[-6:]) < 0)
     return bool(decreasing and vals[-1] < 0.5 * vals[len(vals) // 2])
 
 
 def check_cfg_d(pair: PairSpec, cost: CostSpec,
-                theta_pm: tuple = _DEFAULT_THETA_PM, theta2: float = _DEFAULT_THETA2,
-                y_hi: float = _Y_HI, n_probe: int = _N_PROBE,
-                fd_step: float = 1e-5) -> CheckReport:
+                theta_pm: tuple = _DEFAULT_THETA_PM,
+                theta2: float = _DEFAULT_THETA2) -> CheckReport:
     """Tail compatibility when the quantile functions differ (code CFG_D).
 
     Part (i) lower-bounds the derivative of ``psi o l^{-1}`` (finite
@@ -385,22 +358,22 @@ def check_cfg_d(pair: PairSpec, cost: CostSpec,
     for marg, dist in (("X", pair.dist_x), ("Y", pair.dist_y)):
         for side, branch in _LPSY_BOTH:
             theta = theta_plus if branch == "+" else theta_minus
-            subs.append(_cfg_d_derivative_combo(
-                dist, marg, cost, side, branch, theta, y_hi, n_probe, fd_step))
+            subs.append(_cfg_d_derivative_combo(dist, marg, cost, side, branch, theta))
     notes = []
-    for side in (RIGHT, LEFT):
-        tail_name = "right" if side == RIGHT else "left"
+    for side, tail_name in _SIDES[::-1]:
         if _tail_liminf_zero(pair, side):
             pairs = ((pair.dist_x, "X", "+"), (pair.dist_y, "Y", "-")) if side == RIGHT \
                 else ((pair.dist_x, "X", "-"), (pair.dist_y, "Y", "+"))
             for dist, marg, branch in pairs:
-                subs.append(_integrated_combo(
-                    dist, marg, cost, side, branch, theta2, y_hi, n_probe, "CFG_D(ii)"))
+                subs.append(_growth_combo(
+                    dist, cost, side, branch, theta2, 1.0,
+                    f"CFG_D(ii)(l{branch}, psi_{marg}{side})",
+                    {"theta2": theta2, "branch": branch, "side": side, "marginal": marg}))
         else:
             notes.append(f"CFG_D(ii) not applicable on the {tail_name} tail "
                          "(quantile difference bounded away from 0)")
     params = {"theta_pm": list(theta_pm), "theta2": theta2, "cost": cost.name,
-              "pair": pair.fingerprint(), "y_hi": y_hi}
+              "pair": pair.fingerprint(), "y_hi": _Y_HI}
     return _combine("CFG_D", subs, params, notes)
 
 
@@ -408,9 +381,7 @@ def check_cfg_d(pair: PairSpec, cost: CostSpec,
 # CFG_ED dispatch
 # ---------------------------------------------------------------------------
 
-def check_cfg_ed(pair: PairSpec, cost: CostSpec,
-                 theta_pm: tuple = _DEFAULT_THETA_PM, theta2: float = _DEFAULT_THETA2,
-                 y_hi: float = _Y_HI, n_probe: int = _N_PROBE) -> CheckReport:
+def check_cfg_ed(pair: PairSpec, cost: CostSpec) -> CheckReport:
     """Mixed-partition dispatch (code CFG_ED).
 
     Always checks CFG_D; adds the CFG_E tail checks on the first/last
@@ -418,18 +389,16 @@ def check_cfg_ed(pair: PairSpec, cost: CostSpec,
     on an unbounded quantile range there).
     """
     params = {"cost": cost.name, "pair": pair.fingerprint(),
-              "theta_pm": list(theta_pm), "theta2": theta2}
+              "theta_pm": list(_DEFAULT_THETA_PM), "theta2": _DEFAULT_THETA2}
     part = pair.partition
     if part.is_all_E:
-        sub = check_cfg_e(pair.dist_x, cost, theta2, "both", y_hi, n_probe)
-        return _combine("CFG_ED", [sub], params,
+        return _combine("CFG_ED", [check_cfg_e(pair.dist_x, cost)], params,
                         ("degenerate dispatch: quantiles agree everywhere",))
-    subs = [check_cfg_d(pair, cost, theta_pm, theta2, y_hi, n_probe)]
+    subs = [check_cfg_d(pair, cost)]
     notes = []
-    if part.left_label == "E":
-        subs.append(check_cfg_e(pair.dist_x, cost, theta2, "left", y_hi, n_probe))
-    if part.right_label == "E":
-        subs.append(check_cfg_e(pair.dist_x, cost, theta2, "right", y_hi, n_probe))
+    for label, tails in ((part.left_label, "left"), (part.right_label, "right")):
+        if label == "E":
+            subs.append(_cfg_e(pair.dist_x, cost, _DEFAULT_THETA2, tails))
     if part.left_label == "D" and part.right_label == "D":
         notes.append("agreement region compact in (0,1): only CFG_D required")
     return _combine("CFG_ED", subs, params, notes)
@@ -441,21 +410,28 @@ def check_cfg_ed(pair: PairSpec, cost: CostSpec,
 
 def _w2_integrand_log(dist: DistSpec, side: str):
     def log_g(ts):
-        ts = np.asarray(ts, dtype=float)
         logf = dist.log_density_at_depth(side, ts)
         return np.log1p(-np.exp(-ts)) - 2.0 * ts - 2.0 * logf
     return log_g
 
 
-def check_w2_hypotheses(dist: DistSpec, t_hi: float = _Y_HI) -> CheckReport:
+def _integrability(label: str, log_g) -> CheckReport:
+    """Whether the tail integral of ``exp(log_g(t))`` over depths t >= 3
+    converges (pass), diverges (fail) or cannot be told (inconclusive)."""
+    assessment = assess_tail(log_g, 3.0, _Y_HI)
+    verdict = {CONVERGENT: PASS, DIVERGENT: FAIL}.get(assessment.verdict, INCONCLUSIVE)
+    return CheckReport(label, verdict, (),
+                       {"exponent": assessment.exponent, "tail_mass": assessment.total}, ())
+
+
+def check_w2_hypotheses(dist: DistSpec) -> CheckReport:
     """Hypotheses of the quadratic-cost limit (code W2H):
     vanishing edge ratios u/h and (1-u)/h, and a finite integral of
     u(1-u)/h^2 (probed in depth coordinates with exponent extrapolation).
     """
     subs = []
-    for side in (LEFT, RIGHT):
-        name = "left" if side == LEFT else "right"
-        ts = probe_grid(3.0, t_hi, 120)
+    for side, name in _SIDES:
+        ts = probe_grid(3.0, _Y_HI, 120)
         logf = dist.log_density_at_depth(side, ts)
         vals = np.exp(-ts - logf)          # min(u,1-u)/h at depth t
         keep = np.isfinite(vals)
@@ -472,14 +448,8 @@ def check_w2_hypotheses(dist: DistSpec, t_hi: float = _Y_HI) -> CheckReport:
         profile = _profile(ts_k, vals_k, np.full(len(ts_k), 1e-3), 1e-3 - vals_k, rows=20)
         subs.append(CheckReport(f"W2H(limit,{name})", verdict, profile,
                                 {"last_value": float(tail_vals[-1])}, ()))
-
-        assessment = assess_tail(_w2_integrand_log(dist, side), 3.0, t_hi)
-        int_verdict = PASS if assessment.verdict == CONVERGENT else (
-            FAIL if assessment.verdict == DIVERGENT else INCONCLUSIVE)
-        subs.append(CheckReport(
-            f"W2H(integral,{name})", int_verdict, (),
-            {"exponent": assessment.exponent, "tail_mass": assessment.total}, ()))
-    params = {"dist": dist.name, "t_hi": t_hi}
+        subs.append(_integrability(f"W2H(integral,{name})", _w2_integrand_log(dist, side)))
+    params = {"dist": dist.name, "t_hi": _Y_HI}
     return _combine("W2H", subs, params)
 
 
@@ -495,13 +465,12 @@ def w2_variance_integral(dist: DistSpec) -> float:
     central, _ = quad(integrand, a, b, limit=400)
     total = central
     for side in (LEFT, RIGHT):
-        assessment = assess_tail(_w2_integrand_log(dist, side), t0, 1e6, n=400)
+        assessment = assess_tail(_w2_integrand_log(dist, side), t0, _Y_HI, n=400)
         total += assessment.total
     return total
 
 
-def check_compact(dist: DistSpec, cost: CostSpec, b_prime: float,
-                  t_hi: float = _Y_HI) -> CheckReport:
+def check_compact(dist: DistSpec, cost: CostSpec, b_prime: float) -> CheckReport:
     """Edge integrability of (sqrt(u(1-u))/h)^b' for compact supports
     (code COMPACT); requires b' above both branch indices.
     """
@@ -517,21 +486,14 @@ def check_compact(dist: DistSpec, cost: CostSpec, b_prime: float,
             f"got {b_prime}"
         )
     subs = []
-    for side in (LEFT, RIGHT):
-        name = "left" if side == LEFT else "right"
+    for side, name in _SIDES:
 
         def log_g(ts, side=side):
-            ts = np.asarray(ts, dtype=float)
             logf = dist.log_density_at_depth(side, ts)
             log_u1mu = np.log1p(-np.exp(-ts)) - ts
             return (b_prime / 2.0) * log_u1mu - b_prime * logf - ts
 
-        assessment = assess_tail(log_g, 3.0, t_hi)
-        verdict = PASS if assessment.verdict == CONVERGENT else (
-            FAIL if assessment.verdict == DIVERGENT else INCONCLUSIVE)
-        subs.append(CheckReport(
-            f"COMPACT({name})", verdict, (),
-            {"exponent": assessment.exponent, "tail_mass": assessment.total}, ()))
+        subs.append(_integrability(f"COMPACT({name})", log_g))
     params = {"dist": dist.name, "b_prime": b_prime, "cost": cost.name}
     return _combine("COMPACT", subs, params)
 
@@ -540,15 +502,13 @@ def check_compact(dist: DistSpec, cost: CostSpec, b_prime: float,
 # Pareto tail dominance
 # ---------------------------------------------------------------------------
 
-def check_pareto_dominance(dist: DistSpec, index: float,
-                           t_hi: float = _Y_HI) -> CheckReport:
+def check_pareto_dominance(dist: DistSpec, index: float) -> CheckReport:
     """Tails lighter than a Pareto tail of the given index (code PARETO_DOM):
     the local tail exponent t / log|x(t)| must exceed ``index`` in the
     deepest probed decade of both applicable tails.
     """
     subs = []
-    for side in (LEFT, RIGHT):
-        name = "left" if side == LEFT else "right"
+    for side, name in _SIDES:
         label = f"PARETO_DOM({name})"
         if not dist.tail_applicable(side):
             subs.append(_vacuous(label, "tail beyond the support: dominated trivially", {}))
@@ -556,7 +516,7 @@ def check_pareto_dominance(dist: DistSpec, index: float,
         if np.isfinite(dist.support[1] if side == RIGHT else dist.support[0]):
             subs.append(_vacuous(label, "bounded tail: dominated trivially", {}))
             continue
-        ts = probe_grid(5.0, t_hi, 100)
+        ts = probe_grid(5.0, _Y_HI, 100)
         logmag = dist.log_tail_magnitude(side, ts)
         with np.errstate(divide="ignore", invalid="ignore"):
             expo = np.where(logmag > 0, ts / logmag, np.inf)

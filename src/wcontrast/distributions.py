@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import stats
-from scipy.special import ndtri_exp, roots_legendre
+from scipy.special import betaln, ndtri_exp, roots_legendre
 
 from .errors import DomainError, ValidationError
 from .seeding import derive_rng
@@ -306,13 +306,38 @@ def weibull(shape: float, scale: float = 1.0) -> DistSpec:
     )
 
 
+def _beta_left_log_density(a: float, b: float) -> Callable:
+    """log f of Beta(a, b) at left tail depth t, evaluated in log space.
+
+    log x comes from the generic inversion where that is exact, and from
+    the leading term of F(x) = x^a / (a B(a, b)) (1 + O(x)) past t = 700,
+    where scipy's log c.d.f. nears underflow, or below x = 1e-30. So the
+    result stays finite where x itself underflows (as it does for a < 1).
+    """
+    law = dist_from_scipy(f"beta({a:g},{b:g})", stats.beta(a, b))
+    log_beta = betaln(a, b)
+    log_a_beta = math.log(a) + log_beta
+
+    def log_f(t):
+        t = np.asarray(t, dtype=float)
+        log_x = np.array((log_a_beta - t) / a)
+        exact = (t <= 700.0) & (log_x >= math.log(1e-30))
+        log_x[exact] = np.log(law.tail_quantile(LEFT, t[exact]))
+        return (a - 1.0) * log_x + (b - 1.0) * np.log1p(-np.exp(log_x)) - log_beta
+
+    return log_f
+
+
 def beta_dist(a: float, b: float) -> DistSpec:
     if a <= 0 or b <= 0:
         raise ValidationError(f"beta requires a, b > 0; got ({a}, {b})")
     frozen = stats.beta(a, b)
+    # f_{a,b}(1 - y) = f_{b,a}(y): the right tail is Beta(b, a)'s left tail
     return dist_from_scipy(
         f"beta({a:g},{b:g})", frozen,
         params={"family": "beta", "a": a, "b": b},
+        log_density_at_depth_fn={LEFT: _beta_left_log_density(a, b),
+                                 RIGHT: _beta_left_log_density(b, a)},
     )
 
 

@@ -26,7 +26,7 @@ from .distributions import DistSpec, PairSpec, equal_pair
 from .errors import ValidationError
 from .estimator import PairedSample, w_cost_empirical
 from .limitlaw import (DEFAULT_GRID, THEOREM_GAUSSIAN, THEOREM_ONE_SAMPLE,
-                       LimitDraws, select_regime, sigma2_D)
+                       LimitDraws, Regime, select_regime, sigma2_D)
 
 __all__ = [
     "TestResult",
@@ -92,10 +92,19 @@ def two_sample_test(sample: PairedSample, null_pair: PairSpec, cost: CostSpec,
         notes.append("null simulated under a fitted parametric law: p-value approximate")
     notes += regime.gate(null_pair, cost, override=override_checks)
 
-    statistic = w_cost_empirical(sample, cost)
-    scaled = regime.rate(sample.n, cost, 0.0) * statistic
+    return _simulated_test(regime, null_pair, cost, 0.0, w_cost_empirical(sample, cost),
+                           sample.n, level, sim, n_sim, seed, grid, tail_frac, notes)
+
+
+def _simulated_test(regime: Regime, pair: PairSpec, cost: Optional[CostSpec], p: float,
+                    statistic: float, n: int, level: float, sim: Optional[LimitDraws],
+                    n_sim: int, seed: int, grid: tuple, tail_frac: Optional[float],
+                    notes: list) -> TestResult:
+    """Scale the statistic by the regime's rate and compare it with ``sim``,
+    or with fresh draws of the regime's limit law when ``sim`` is None."""
+    scaled = regime.rate(n, cost, p) * statistic
     if sim is None:
-        sim = regime.simulate(null_pair, cost, grid, n_sim, seed, tail_frac)
+        sim = regime.simulate(pair, cost, grid, n_sim, seed, tail_frac, p)
     p_value = sim.upper_tail_p(scaled)
     return TestResult(
         statistic=statistic,
@@ -227,22 +236,8 @@ def gof_test(xs, null_dist: DistSpec, p: float = 1.0,
     notes += regime.gate(pair, None, p, override_checks,
                          what=f"the tail dominance of the null {null_dist.name}")
 
-    statistic = wp_distance_to_dist(xs, null_dist, p)
-    scaled = regime.rate(len(xs), None, p) * statistic
-    if sim is None:
-        sim = regime.simulate(pair, None, grid, n_sim, seed, tail_frac, p)
-    p_value = sim.upper_tail_p(scaled)
-    return TestResult(
-        statistic=statistic,
-        scaled_statistic=scaled,
-        p_value=p_value,
-        critical_values=sim.quantiles(),
-        theorem_used=regime.label,
-        n_sim=sim.n_sim,
-        level=level,
-        reject=p_value <= level,
-        notes=tuple(notes),
-    )
+    return _simulated_test(regime, pair, None, p, wp_distance_to_dist(xs, null_dist, p),
+                           len(xs), level, sim, n_sim, seed, grid, tail_frac, notes)
 
 
 def clt_alternative_distribution(pair: PairSpec, cost: CostSpec,

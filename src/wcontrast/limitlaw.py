@@ -447,14 +447,9 @@ def draw_limit_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
     """
     if require_checks:
         REGIMES[THEOREM_MIXED].gate(pair, cost)
-    d_mask = pair.partition.mask(grid.u, "D")
+    w_d = _weight_fn(pair, cost, grid.u) * grid.weights
     e_mask = pair.partition.mask(grid.u, "E")
-    w = grid.weights
-    w_d = np.zeros_like(w)
-    if d_mask.any():
-        tau_d = pair.tau(grid.u[d_mask])
-        w_d[d_mask] = w[d_mask] * np.abs(derivative(cost, tau_d))
-    w_e = w * e_mask
+    w_e = grid.weights * e_mask
 
     def functional(bx, by):
         bq = _driving_process(grid, bx, by)

@@ -1,9 +1,13 @@
+import inspect
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import wcontrast as wc
 from tests.conftest import exp_growth_cost
+from wcontrast import assumptions
 from wcontrast.assumptions import FAIL, PASS, w2_variance_integral
 from wcontrast.distributions import dist_from_scipy
 from wcontrast.errors import ValidationError
@@ -168,6 +172,14 @@ def test_compact_worked_examples():
     assert wc.check_compact(log_edge, wc.power_cost(1.5), 2.0).verdict == PASS
 
 
+def test_compact_beta_tails_are_symmetric():
+    # Beta(2,2) is symmetric about 1/2, so both edge integrals must agree
+    left, right = wc.check_compact(wc.beta_dist(2, 2), wc.power_cost(2.5), 3.0).subreports
+    assert (left.condition, right.condition) == ("COMPACT(left)", "COMPACT(right)")
+    assert left.verdict == right.verdict == PASS
+    assert left.parameters_used == right.parameters_used
+
+
 def test_compact_validation():
     with pytest.raises(ValidationError, match="bounded supports"):
         wc.check_compact(wc.gaussian(), wc.power_cost(1.5), 2.0)
@@ -251,8 +263,8 @@ def test_gaussian_tail_hooks_keep_verdicts(name, loc, scale):
 def test_cfg_d_probe_grid_matches_scalar_loop(gauss_shift_pair):
     # psi o l^{-1} evaluated probe by probe (the scalar route) gives the
     # same finite-difference derivatives, bit for bit
-    cost, fd_step = wc.power_cost(1.5), 1e-5
-    report = wc.check_cfg_d(gauss_shift_pair, cost, fd_step=fd_step)
+    cost, fd_step = wc.power_cost(1.5), assumptions._FD_STEP
+    report = wc.check_cfg_d(gauss_shift_pair, cost)
     dists = {"X": gauss_shift_pair.dist_x, "Y": gauss_shift_pair.dist_y}
     part_i = [s for s in report.subreports if s.condition.startswith("CFG_D(i)")]
     assert len(part_i) == 8
@@ -270,3 +282,36 @@ def test_cfg_d_probe_grid_matches_scalar_loop(gauss_shift_pair):
                                for y, d in zip(ys, dy)])
         scalar[~np.isfinite(scalar)] = np.inf   # an exhausted tail: infinite slack
         assert np.array_equal(scalar, [row[1] for row in sub.margin_profile]), sub.condition
+
+
+def test_cfg_ed_subreports_are_the_direct_checks(bump_pair_comonotone, gauss_shift_pair):
+    def as_dicts(reports):
+        return [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+
+    theta2 = assumptions._DEFAULT_THETA2
+    bump, cost1 = bump_pair_comonotone, wc.power_cost(1)
+    assert as_dicts(wc.check_cfg_ed(bump, cost1).subreports) == as_dicts([
+        wc.check_cfg_d(bump, cost1),
+        assumptions._cfg_e(bump.dist_x, cost1, theta2, "left"),
+        assumptions._cfg_e(bump.dist_x, cost1, theta2, "right")])
+    cost15 = wc.power_cost(1.5)
+    assert as_dicts(wc.check_cfg_ed(gauss_shift_pair, cost15).subreports) == as_dicts(
+        [wc.check_cfg_d(gauss_shift_pair, cost15)])
+    equal = wc.equal_pair(wc.gaussian())
+    assert as_dicts(wc.check_cfg_ed(equal, cost15).subreports) == as_dicts(
+        [wc.check_cfg_e(equal.dist_x, cost15)])
+
+
+def test_checker_signatures():
+    # the probe design is fixed in module constants, not per-call knobs
+    expected = {
+        wc.check_fg: ["dist"],
+        wc.check_cfg_e: ["dist", "cost", "theta2"],
+        wc.check_cfg_d: ["pair", "cost", "theta_pm", "theta2"],
+        wc.check_cfg_ed: ["pair", "cost"],
+        wc.check_w2_hypotheses: ["dist"],
+        wc.check_compact: ["dist", "cost", "b_prime"],
+        wc.check_pareto_dominance: ["dist", "index"],
+    }
+    for checker, params in expected.items():
+        assert list(inspect.signature(checker).parameters) == params, checker.__name__

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betaln
 
 import wcontrast as wc
 from wcontrast.distributions import bvn_cdf, dist_from_scipy
@@ -140,7 +141,8 @@ def _weibull3_left(t):
 
 
 @pytest.mark.parametrize("dist,position,log_density", [
-    (wc.beta_dist(2, 2), _beta22_left, lambda x: np.log(6 * x * (1 - x))),
+    (dist_from_scipy("beta(2,2)", stats.beta(2, 2)), _beta22_left,
+     lambda x: np.log(6 * x * (1 - x))),
     (wc.weibull(3.0), _weibull3_left, lambda x: np.log(3 * x ** 2) - x ** 3),
 ], ids=["beta(2,2)", "weibull(3)"])
 def test_generic_left_tail_keeps_every_digit(dist, position, log_density):
@@ -151,6 +153,48 @@ def test_generic_left_tail_keeps_every_digit(dist, position, log_density):
     assert np.allclose(dist.tail_quantile("-", TAIL_DEPTHS), x, rtol=1e-12, atol=0)
     assert np.allclose(dist.log_density_at_depth("-", TAIL_DEPTHS), log_density(x),
                        rtol=1e-12, atol=0)
+
+
+BETA_HOOK_DEPTHS = np.array([100.0, 700.0, 745.0, 1e4, 1e6])
+
+
+def _beta22_log_density(t):
+    # I_x = 3x^2 - 2x^3 = e^-t in log space: log x = (-t - log 3 - log1p(-2x/3)) / 2
+    log_x = (-t - math.log(3.0)) / 2
+    for _ in range(3):
+        log_x = (-t - math.log(3.0) - math.log1p(-2.0 * math.exp(log_x) / 3.0)) / 2
+    return math.log(6.0) + log_x + math.log1p(-math.exp(log_x))
+
+
+@pytest.mark.parametrize("a,b,left,right", [
+    # symmetric, so both sides share one closed form
+    (2, 2, _beta22_log_density, _beta22_log_density),
+    # I_x = 1 - (1-x)^3 and f = 3 (1-x)^2: 1 - x = (1 - e^-t)^(1/3) on the
+    # left and e^(-t/3) on the right
+    (1, 3, lambda t: math.log(3.0) + 2.0 * math.log1p(-math.exp(-t)) / 3.0,
+     lambda t: math.log(3.0) - 2.0 * t / 3.0),
+], ids=["beta(2,2)", "beta(1,3)"])
+def test_beta_log_density_hooks_match_closed_forms(a, b, left, right):
+    # past t = 706 scipy's beta.logcdf underflows and past t = 72 the right
+    # position rounds to 1: the hooks still give every digit there
+    dist = wc.beta_dist(a, b)
+    for side, closed in (("-", left), ("+", right)):
+        got = dist.log_density_at_depth(side, BETA_HOOK_DEPTHS)
+        expected = [closed(t) for t in BETA_HOOK_DEPTHS]
+        assert np.allclose(got, expected, rtol=1e-12, atol=0), side
+
+
+@pytest.mark.parametrize("a,b", [(0.5, 3.0), (5.0, 0.7)])
+def test_beta_log_density_hooks_finite_and_continuous(a, b):
+    dist = wc.beta_dist(a, b)
+    depths = np.array([1.0, 10.0, 100.0, 700.0, 745.0, 1e4, 1e6])
+    for side, (p, q) in (("-", (a, b)), ("+", (b, a))):
+        assert np.all(np.isfinite(dist.log_density_at_depth(side, depths))), side
+        # depth at which the leading term x^p / (p B(p, q)) reaches x = 1e-30
+        switch = min(700.0, math.log(p) + betaln(p, q) - p * math.log(1e-30))
+        near = switch * np.array([1 - 1e-10, 1 + 1e-10])
+        below, above = dist.log_density_at_depth(side, near)
+        assert abs(above - below) < 1e-6, side
 
 
 def test_generic_tail_beyond_float_reach_is_domain_error():
