@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import stats
-from scipy.special import betaln, ndtri_exp, roots_legendre
+from scipy.special import betaln, hyp2f1, ndtr, ndtri_exp, owens_t
 
 from .errors import DomainError, ValidationError
 from .seeding import derive_rng
@@ -309,20 +309,35 @@ def weibull(shape: float, scale: float = 1.0) -> DistSpec:
 def _beta_left_log_density(a: float, b: float) -> Callable:
     """log f of Beta(a, b) at left tail depth t, evaluated in log space.
 
-    log x comes from the generic inversion where that is exact, and from
-    the leading term of F(x) = x^a / (a B(a, b)) (1 + O(x)) past t = 700,
-    where scipy's log c.d.f. nears underflow, or below x = 1e-30. So the
-    result stays finite where x itself underflows (as it does for a < 1).
+    log x comes from the generic inversion where that is exact. Past
+    t = 600, where scipy's log c.d.f. starts to lose digits near underflow
+    (from t = 685 on Beta(20, 3)), or below x = 1e-30, it solves
+    F(x) = x^a (1-x)^b 2F1(a+b, 1; a+1; x) / (a B(a, b)) = e^-t in log x by
+    bisection; where the O((a+b) x) factors beside x^a are 1 to rounding,
+    that is the leading term log x = (log(a B(a, b)) - t) / a. So the
+    result stays exact, and finite where x itself underflows (as it does
+    for a < 1).
     """
     law = dist_from_scipy(f"beta({a:g},{b:g})", stats.beta(a, b))
     log_beta = betaln(a, b)
     log_a_beta = math.log(a) + log_beta
 
+    def solve_log_x(t):
+        def reached(log_x):   # log F(x) >= -t; nan near x = 1 counts as reached
+            x = np.exp(log_x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return ~(a * log_x + b * np.log1p(-x)
+                         + np.log(hyp2f1(a + b, 1.0, a + 1.0, x)) < log_a_beta - t)
+
+        return bisect_floats(reached, -np.inf, 0.0)
+
     def log_f(t):
         t = np.asarray(t, dtype=float)
         log_x = np.array((log_a_beta - t) / a)
-        exact = (t <= 700.0) & (log_x >= math.log(1e-30))
+        exact = (t <= 600.0) & (log_x >= math.log(1e-30))
         log_x[exact] = np.log(law.tail_quantile(LEFT, t[exact]))
+        solve = ~exact & ((a + b) * np.exp(log_x) > 1e-17)
+        log_x[solve] = solve_log_x(t[solve])
         return (a - 1.0) * log_x + (b - 1.0) * np.log1p(-np.exp(log_x)) - log_beta
 
     return log_f
@@ -549,28 +564,34 @@ def builtin_dist(family: str, **params) -> DistSpec:
 # couplings
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = roots_legendre(64)
+def _owen_term(h: np.ndarray, k: np.ndarray, rho: float, s: float) -> np.ndarray:
+    """Owen's T(h, (k - rho h) / (h s)), with its limits at h = 0 (T(0, +-inf)
+    = +-1/4) and at infinite h (0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = owens_t(h, (k - rho * h) / (h * s))
+    t = np.where(h == 0.0, np.sign(k) / 4.0, t)
+    return np.where(np.isinf(h), 0.0, t)
 
 
 def bvn_cdf(a, b, rho: float) -> np.ndarray:
     """Standard bivariate normal c.d.f. P(Z1 <= a, Z2 <= b) with correlation rho.
 
-    One-dimensional quadrature of the correlation-derivative identity;
-    accurate to ~1e-12 for |rho| <= 0.95 (couplings restrict |rho| < 1).
+    Owen's (1956) reduction to two T functions,
+    Phi2(h, k) = (Phi(h) + Phi(k))/2 - T(h, a_h) - T(k, a_k) - beta, with
+    a_h = (k - rho h)/(h sqrt(1 - rho^2)) and beta = 1/2 where hk < 0, or
+    hk = 0 and h + k < 0. It is exact to rounding for every |rho| < 1 and
+    every (a, b), infinite ones included; (0, 0) takes its closed form
+    1/4 + asin(rho)/(2 pi), and rho = 0 the product Phi(a) Phi(b).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    base = stats.norm.cdf(a) * stats.norm.cdf(b)
+    h, k = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if rho == 0.0:
-        return base
-    r = 0.5 * rho * (_GL_NODES + 1.0)           # nodes on [0, rho]
-    w = 0.5 * rho * _GL_WEIGHTS
-    aa = a[..., None]
-    bb = b[..., None]
-    one_m_r2 = 1.0 - r ** 2
-    expo = -(aa ** 2 - 2.0 * r * aa * bb + bb ** 2) / (2.0 * one_m_r2)
-    integrand = np.exp(expo) / np.sqrt(one_m_r2)
-    return base + (integrand * w).sum(axis=-1) / (2.0 * math.pi)
+        return ndtr(h) * ndtr(k)
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    sign = np.sign(h) * np.sign(k)
+    beta = np.where((sign < 0.0) | ((sign == 0.0) & (np.minimum(h, k) < 0.0)), 0.5, 0.0)
+    val = (0.5 * (ndtr(h) + ndtr(k)) - _owen_term(h, k, rho, s)
+           - _owen_term(k, h, rho, s) - beta)
+    return np.where((h == 0.0) & (k == 0.0), 0.25 + math.asin(rho) / (2.0 * math.pi), val)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,11 @@
 The joint Gaussian process has per-marginal Brownian-bridge covariance
 ``min(u,v) - uv`` and cross covariance ``C(u,v) - uv`` where ``C`` is the
 copula of the pair; the driving process is ``Bq(u) = B^X(u)/h_X(u) -
-B^Y(u)/h_Y(u)``. Limits are evaluated on a delta-clipped equispaced grid
+B^Y(u)/h_Y(u)``. ``build_bridge_grid`` factorizes that joint covariance in
+one of three ways: closed-form O(m) (independent, comonotone), low-rank
+O(m r) from Mehler's expansion (Gaussian copula) or a dense 2m x 2m
+Cholesky (any other copula, and Gaussian copulas that need more than
+m/2 Mehler terms). Limits are evaluated on a delta-clipped equispaced grid
 by trapezoid quadrature of one shared path per draw, with an explicit
 bound on the truncated tail contribution derived from the edge
 integrability of the relevant functional. ``select_regime`` decides from
@@ -20,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import ndtri, roots_legendre
 
 from .assumptions import (PASS, check_cfg_e, check_cfg_ed, check_compact,
                           check_pareto_dominance, check_w2_hypotheses)
@@ -52,10 +56,20 @@ _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 _FROBENIUS_RTOL = 1e-6
 _DEGENERATE_VAR = 1e-12
 _DEFAULT_TAIL_FRAC = 0.05
-_PROBE_SEED = 0            # fixed probe vectors of the closed-form residual
+_PROBE_SEED = 0            # fixed probe vectors of the factor residuals
 _N_PROBES = 4
+_BLOCK = 512               # draws per path block; the last block is zero-padded
+# Cramer's bound a_k^2 <= 0.19/k on the Mehler features caps every entry of
+# the dropped cross-covariance tail by 0.19 |rho|^(r+1) / ((r+1)(1-|rho|))
+_CRAMER = 0.19
+_MEHLER_TOL = 1e-16
+# Low-rank sampling costs ~3 m r per draw against 4 m^2 for the dense factor;
+# measured with one BLAS thread, it stays cheaper up to r ~ m/2 at m = 255
+# and 511 (and up to r ~ m at m = 1023 and 2047), so ranks above m/2 go dense.
+_MAX_RANK_FRACTION = 0.5
 
 FACTOR_CLOSED_FORM = "closed-form"   # O(m) factor, independent / comonotone
+FACTOR_LOW_RANK = "low-rank"         # O(m r) Mehler factor, Gaussian copula
 FACTOR_DENSE = "dense"               # 2m x 2m Cholesky, general copulas
 RNG_SCHEME = "stream-v2"             # one derive_rng(seed, "draws") stream per call
 
@@ -70,29 +84,44 @@ THEOREM_ONE_SAMPLE = "one_sample"  # single marginal against its own law
 class BridgeGrid:
     """Factorized joint covariance of the two bridges on a clipped grid.
 
-    Independent and comonotone couplings use the closed-form Cholesky
-    factor of the bridge kernel K(u,v) = min(u,v) - uv: ``factor`` holds
-    ``coef`` with L[k,j] = (1 - u_k) coef_j for j <= k. The Y bridge has
-    its own normals (independent) or is the X bridge itself (comonotone),
-    and ``frobenius_rel_err`` is a residual on fixed probe vectors. Any
-    other copula stores the dense lower-triangular factor of the 2m x 2m
-    joint covariance, and ``frobenius_rel_err`` is its Frobenius residual.
+    Three factor kinds:
+
+    - closed-form (independent, comonotone): ``factor`` holds ``coef`` of
+      the Cholesky factor of the bridge kernel K(u,v) = min(u,v) - uv,
+      L[k,j] = (1 - u_k) coef_j for j <= k. The Y bridge has its own
+      normals (independent) or is the X bridge itself (comonotone).
+    - low-rank (Gaussian copula): the same ``coef``, and ``cross`` = (U, s,
+      c) with B^X = L z_x and B^Y = L(z_y + U(s * U^T z_x - c * U^T z_y)),
+      c = 1 - sqrt(1 - s^2). U diag(s) U^T is L^{-1} A diag(rho^(k+1)) A^T
+      L^{-T} for the first ``rank`` Mehler features A of C(u,v) - uv; with
+      rank 0 (rho = 0) ``cross`` is None and B^Y takes its own normals.
+    - dense (any other copula, or a Gaussian copula needing more than m/2
+      Mehler terms): ``factor`` is the lower-triangular Cholesky factor of
+      the 2m x 2m joint covariance; only this kind applies ``jitter``.
+
+    ``frobenius_rel_err`` is the Frobenius residual of the dense factor, and
+    for the other kinds the largest residual on fixed probe vectors x of
+    L L^T x against K x and (low-rank) of the cross block against
+    A diag(rho^(k+1)) A^T x. Gaussian-copula grids record ``rank``, the
+    columns of their cross factor (m when dense), and ``truncation_bound``,
+    the bound on every entry of the dropped Mehler tail (0 when dense).
     """
 
     u: np.ndarray
     delta: float
-    factor: np.ndarray           # closed-form: coef, shape (m,); dense: (2m, 2m)
-    factor_kind: str             # FACTOR_CLOSED_FORM | FACTOR_DENSE
+    factor: np.ndarray           # closed-form, low-rank: coef, shape (m,); dense: (2m, 2m)
+    factor_kind: str             # FACTOR_CLOSED_FORM | FACTOR_LOW_RANK | FACTOR_DENSE
     coupling: str
     jitter: float
     h_x: np.ndarray
     h_y: np.ndarray
     weights: np.ndarray          # trapezoid weights on the grid
-    var_bridge_diag: np.ndarray  # Var(Bq(u)) from the pre-jitter covariance
-    # dense: ||F F^T - Sigma||_F / ||Sigma||_F; closed-form: the probe
-    # residual max_x ||L(L^T x) - K x|| / ||K x||
+    var_bridge_diag: np.ndarray  # Var(Bq(u)) from the exact, pre-jitter covariance
     frobenius_rel_err: float
     pair_fingerprint: str
+    cross: Optional[tuple] = None             # low-rank: (U, s, c)
+    rank: Optional[int] = None                # Gaussian copula only
+    truncation_bound: Optional[float] = None  # Gaussian copula only
 
     @property
     def m(self) -> int:
@@ -110,12 +139,17 @@ class BridgeGrid:
         if self.factor_kind == FACTOR_DENSE:
             paths = self.factor @ z
             return paths[:m], paths[m:]
-        bx = _markov_bridge(self.u, self.factor, z[:m])
-        by = bx if self.coupling == "comonotone" else _markov_bridge(self.u, self.factor, z[m:])
-        return bx, by
+        zx, zy = z[:m], z[m:]
+        bx = _markov_bridge(self.u, self.factor, zx)
+        if self.coupling == "comonotone":
+            return bx, bx
+        if self.cross is not None:
+            U, s, c = self.cross
+            zy = zy + U @ (s[:, None] * (U.T @ zx) - c[:, None] * (U.T @ zy))
+        return bx, _markov_bridge(self.u, self.factor, zy)
 
     def summary(self) -> dict:
-        return {
+        meta = {
             "m": self.m,
             "delta": self.delta,
             "factor": self.factor_kind,
@@ -125,6 +159,9 @@ class BridgeGrid:
             "degenerate": self.degenerate,
             "pair": self.pair_fingerprint,
         }
+        if self.rank is not None:
+            meta.update(rank=self.rank, truncation_bound=self.truncation_bound)
+        return meta
 
 
 @dataclass(frozen=True)
@@ -157,9 +194,13 @@ def build_bridge_grid(pair: PairSpec, m: int = DEFAULT_GRID[0],
     delta-clipped equispaced grid.
 
     Independent and comonotone couplings get the closed-form O(m) factor
-    of the bridge kernel, checked by a probe residual. Any other copula
-    assembles and factorizes the 2m x 2m joint covariance, escalating
-    diagonal jitter (0, 1e-12, 1e-10, 1e-8) until the Cholesky
+    of the bridge kernel, checked by a probe residual. A Gaussian copula
+    adds to it the low-rank cross factor of the smallest Mehler rank r
+    whose truncation bound is below 1e-16, checked by a probe residual of
+    the cross block and by the validity condition max s^2 <= 1, when r is
+    at most m/2. Any other copula, and a Gaussian one needing a larger
+    rank, assembles and factorizes the 2m x 2m joint covariance,
+    escalating diagonal jitter (0, 1e-12, 1e-10, 1e-8) until the Cholesky
     factorization succeeds, and checks it by its Frobenius residual.
     """
     if m < 1:
@@ -177,13 +218,26 @@ def build_bridge_grid(pair: PairSpec, m: int = DEFAULT_GRID[0],
 
     kind = pair.coupling.kind
     diag_k = u - u * u
+    cross = rank = bound = None
+    jitter_used = 0.0
+    if kind == "gaussian":
+        rank, bound = _mehler_rank(pair.coupling.rho, int(_MAX_RANK_FRACTION * m))
     if kind in ("independent", "comonotone"):
-        factor_kind, jitter_used = FACTOR_CLOSED_FORM, 0.0
+        factor_kind = FACTOR_CLOSED_FORM
         factor, resid = _closed_form_factor(u)
         cross_diag = diag_k if kind == "comonotone" else np.zeros(m)
+    elif rank is not None:
+        factor_kind = FACTOR_LOW_RANK
+        factor, resid = _closed_form_factor(u)
+        if rank:
+            cross, cross_resid = _low_rank_cross(u, factor, pair.coupling.rho, rank)
+            resid = max(resid, cross_resid)
+        cross_diag = pair.coupling.copula(u, u) - u * u
     else:
         factor_kind = FACTOR_DENSE
         factor, jitter_used, resid, cross_diag = _dense_factor(pair, u)
+        if kind == "gaussian":
+            rank, bound = m, 0.0
 
     if m >= 2:
         step = u[1] - u[0]
@@ -199,12 +253,32 @@ def build_bridge_grid(pair: PairSpec, m: int = DEFAULT_GRID[0],
         var_bridge_diag=np.maximum(var_diag, 0.0),
         frobenius_rel_err=resid,
         pair_fingerprint=pair.fingerprint(),
+        cross=cross, rank=rank, truncation_bound=bound,
     )
 
 
 def _markov_bridge(u: np.ndarray, coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     """L @ z for the closed-form factor L[k,j] = (1 - u_k) coef_j, j <= k."""
     return (1.0 - u)[:, None] * np.cumsum(coef[:, None] * z, axis=0)
+
+
+def _suffix_sums(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_{j>=i} (1 - u_j) x_j; L^T x is coef times this."""
+    return np.cumsum(((1.0 - u)[:, None] * x)[::-1], axis=0)[::-1]
+
+
+def _probe_residual(got: np.ndarray, want: np.ndarray, what: str) -> float:
+    """max over probe columns of ||got - want|| / ||want||, at most
+    _FROBENIUS_RTOL."""
+    resid = float(np.max(np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)))
+    if not resid <= _FROBENIUS_RTOL:
+        raise NumericalError(f"{what} reproduces the covariance to {resid:.3g} "
+                             f"> {_FROBENIUS_RTOL:g} (probe residual)")
+    return resid
+
+
+def _probes(m: int) -> np.ndarray:
+    return np.random.default_rng(_PROBE_SEED).standard_normal((m, _N_PROBES))
 
 
 def _closed_form_factor(u: np.ndarray):
@@ -214,18 +288,62 @@ def _closed_form_factor(u: np.ndarray):
     prev = np.concatenate(([0.0], u[:-1]))
     coef = np.sqrt((u - prev) / ((1.0 - u) * (1.0 - prev)))
 
-    x = np.random.default_rng(_PROBE_SEED).standard_normal((len(u), _N_PROBES))
+    x = _probes(len(u))
     # (K x)_i = (1-u_i) sum_{j<=i} u_j x_j + u_i sum_{j>i} (1-u_j) x_j
-    tail = np.cumsum(((1.0 - u)[:, None] * x)[::-1], axis=0)[::-1]
+    tail = _suffix_sums(u, x)
     above = np.zeros_like(x)
     above[:-1] = tail[1:]
     kx = (1.0 - u)[:, None] * np.cumsum(u[:, None] * x, axis=0) + u[:, None] * above
     llt_x = _markov_bridge(u, coef, coef[:, None] * tail)    # L^T x = coef * tail
-    resid = float(np.max(np.linalg.norm(llt_x - kx, axis=0) / np.linalg.norm(kx, axis=0)))
-    if not resid <= _FROBENIUS_RTOL:
-        raise NumericalError(f"closed-form factor reproduces the covariance to {resid:.3g} "
-                             f"> {_FROBENIUS_RTOL:g} (probe residual)")
-    return coef, resid
+    return coef, _probe_residual(llt_x, kx, "closed-form factor")
+
+
+def _mehler_rank(rho: float, max_rank: int):
+    """(r, bound): the smallest rank r <= max_rank whose Cramer bound on the
+    dropped Mehler terms is below _MEHLER_TOL, or (None, None)."""
+    a = abs(rho)
+    r = np.arange(max_rank + 1)
+    bound = _CRAMER * a ** (r + 1) / ((r + 1) * (1.0 - a))
+    ok = np.flatnonzero(bound < _MEHLER_TOL)
+    return (int(ok[0]), float(bound[ok[0]])) if ok.size else (None, None)
+
+
+def _mehler_features(u: np.ndarray, rank: int) -> np.ndarray:
+    """A[:, k] = phi(z) He_k(z) / sqrt((k+1)!), z = Phi^{-1}(u), so that
+    C(u,v) - uv = sum_k rho^(k+1) A[u, k] A[v, k] (Mehler's expansion).
+    phi(z) He_k(z) / sqrt(k!) comes from the normalized three-term
+    recursion g_{k+1} = (z g_k - sqrt(k) g_{k-1}) / sqrt(k+1)."""
+    z = ndtri(u)
+    A = np.empty((len(u), rank))
+    g_prev, g = np.zeros_like(z), np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    for k in range(rank):
+        A[:, k] = g / math.sqrt(k + 1.0)
+        g, g_prev = (z * g - math.sqrt(k) * g_prev) / math.sqrt(k + 1.0), g
+    return A
+
+
+def _low_rank_cross(u: np.ndarray, coef: np.ndarray, rho: float, rank: int):
+    """(U, s, c) of the Gaussian-copula cross map M = V D V^T = U diag(s) U^T,
+    V = L^{-1} A, D = diag(rho^(k+1)), with c = 1 - sqrt(1 - s^2); and the
+    probe residual of the cross block L M L^T against A D A^T. The joint
+    covariance is valid iff max s^2 <= 1."""
+    A = _mehler_features(u, rank)
+    d = rho ** np.arange(1.0, rank + 1.0)
+    # L^{-1} y: undo the (1 - u) scaling, then the cumulative sum
+    V = np.diff(A / (1.0 - u)[:, None], axis=0, prepend=0.0) / coef[:, None]
+    Q, R = np.linalg.qr(V)
+    s, P = np.linalg.eigh((R * d) @ R.T)
+    if not np.max(s * s) <= 1.0:
+        raise NumericalError(f"low-rank cross factor has max s^2 = {np.max(s * s):.17g} > 1; "
+                             "the joint bridge covariance is not valid")
+    U = Q @ P
+    c = s * s / (1.0 + np.sqrt((1.0 - s) * (1.0 + s)))
+
+    x = _probes(len(u))
+    lt_x = coef[:, None] * _suffix_sums(u, x)
+    got = _markov_bridge(u, coef, U @ (s[:, None] * (U.T @ lt_x)))
+    resid = _probe_residual(got, A @ (d[:, None] * (A.T @ x)), "low-rank cross factor")
+    return (U, s, c), resid
 
 
 def _dense_factor(pair: PairSpec, u: np.ndarray):
@@ -266,18 +384,40 @@ def _dense_factor(pair: PairSpec, u: np.ndarray):
     return factor, jitter_used, frob, np.diag(cross)
 
 
-def iter_bridge_paths(grid: BridgeGrid, n_sim: int, seed: int, chunk: int = 512):
-    """Yield (B^X, B^Y) blocks of shape (m, k).
+def iter_bridge_paths(grid: BridgeGrid, n_sim: int, seed: int):
+    """Yield (B^X, B^Y) blocks of shape (m, k), k <= 512, in draw order.
 
     Every draw comes from one generator, derive_rng(seed, "draws"), read
-    as (k, 2m) blocks in row-major order: draw j takes normals
-    2mj .. 2m(j+1) - 1 of the stream, so the paths do not depend on the
-    chunking. Both factor kinds map the normals through ``grid.bridges``.
+    in row-major order: draw j takes normals 2mj .. 2m(j+1) - 1 of the
+    stream. Every block, the last one zero-padded to 512 draws and then
+    trimmed, goes through ``grid.bridges`` at the same shape, so draw j is
+    bit-identical for every n_sim > j (BLAS products are not bit-stable
+    across column counts).
     """
     rng = derive_rng(seed, "draws")
-    for start in range(0, n_sim, chunk):
-        k = min(chunk, n_sim - start)
-        yield grid.bridges(rng.standard_normal((k, 2 * grid.m)).T)
+    for start in range(0, n_sim, _BLOCK):
+        k = min(_BLOCK, n_sim - start)
+        bx, by = grid.bridges(_normals(rng, k, 2 * grid.m).T)
+        yield bx[:, :k], by[:, :k]
+
+
+def _normals(rng, k: int, width: int) -> np.ndarray:
+    """The next k rows of ``width`` normals from rng, zero-padded to _BLOCK rows."""
+    if k == _BLOCK:
+        return rng.standard_normal((k, width))
+    z = np.zeros((_BLOCK, width))
+    rng.standard_normal(out=z[:k])
+    return z
+
+
+def _full_block(x: np.ndarray) -> np.ndarray:
+    """x zero-padded to _BLOCK columns in the memory order of the block it
+    was trimmed from (a full block is returned as is)."""
+    if x.shape[1] == _BLOCK:
+        return x
+    out = np.zeros((x.shape[0], _BLOCK), order="F" if x.strides[0] < x.strides[1] else "C")
+    out[:, :x.shape[1]] = x
+    return out
 
 
 def _driving_process(grid: BridgeGrid, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -286,14 +426,14 @@ def _driving_process(grid: BridgeGrid, bx: np.ndarray, by: np.ndarray) -> np.nda
     return bx / grid.h_x[:, None] - by / grid.h_y[:, None]
 
 
-def _collect(grid: BridgeGrid, n_sim: int, seed: int, functional,
-             chunk: int = 512) -> np.ndarray:
-    """functional(B^X, B^Y) of every path block, in draw order."""
+def _collect(grid: BridgeGrid, n_sim: int, seed: int, functional) -> np.ndarray:
+    """functional(B^X, B^Y) of every path block, in draw order; the last
+    block is evaluated zero-padded to full width, like its paths."""
     out = np.empty(n_sim)
     done = 0
-    for bx, by in iter_bridge_paths(grid, n_sim, seed, chunk):
+    for bx, by in iter_bridge_paths(grid, n_sim, seed):
         k = bx.shape[1]
-        out[done:done + k] = functional(bx, by)
+        out[done:done + k] = functional(_full_block(bx), _full_block(by))[:k]
         done += k
     return out
 
@@ -623,7 +763,8 @@ def bridge_cov_kernel(pair: PairSpec, us: np.ndarray, vs: Optional[np.ndarray] =
                       ) -> np.ndarray:
     """Cov(Bq(u), Bq(v)) assembled from the four covariance blocks."""
     us = np.asarray(us, dtype=float)
-    vs = us if vs is None else np.asarray(vs, dtype=float)
+    same = vs is None
+    vs = us if same else np.asarray(vs, dtype=float)
     hx_u = np.asarray(pair.dist_x.density_quantile(us), dtype=float)
     hy_u = np.asarray(pair.dist_y.density_quantile(us), dtype=float)
     hx_v = np.asarray(pair.dist_x.density_quantile(vs), dtype=float)
@@ -638,8 +779,10 @@ def bridge_cov_kernel(pair: PairSpec, us: np.ndarray, vs: Optional[np.ndarray] =
     else:
         cross_uv = np.asarray(pair.coupling.copula(us[:, None], vs[None, :]), dtype=float) \
             - np.outer(us, vs)
-        cross_vu = np.asarray(pair.coupling.copula(vs[:, None], us[None, :]), dtype=float).T \
-            - np.outer(us, vs)
+        # with vs = us, C(v_j, u_i) is cross_uv[j, i]: one copula evaluation
+        cross_vu = cross_uv.T if same else (
+            np.asarray(pair.coupling.copula(vs[:, None], us[None, :]), dtype=float).T
+            - np.outer(us, vs))
     return (K / np.outer(hx_u, hx_v) + K / np.outer(hy_u, hy_v)
             - cross_uv / np.outer(hx_u, hy_v) - cross_vu / np.outer(hy_u, hx_v))
 
@@ -709,8 +852,7 @@ def sigma2_D(pair: PairSpec, cost: CostSpec, delta: float = 1e-6,
 
     grid = build_bridge_grid(pair, m=mc_m, delta=1e-4)
     q = _weight_fn(pair, cost, grid.u) * grid.weights
-    samples = _collect(grid, mc_n, seed, lambda bx, by: q @ _driving_process(grid, bx, by),
-                       chunk=2048)
+    samples = _collect(grid, mc_n, seed, lambda bx, by: q @ _driving_process(grid, bx, by))
     mc_val = float(np.var(samples))
 
     scale = max(abs(quad_val), abs(mc_val))

@@ -197,6 +197,19 @@ def test_beta_log_density_hooks_finite_and_continuous(a, b):
         assert abs(above - below) < 1e-6, side
 
 
+@pytest.mark.parametrize("a,b", [(200.0, 2.0), (20.0, 3.0), (2.0, 2.0)])
+def test_beta_log_density_hooks_continuous_at_depth_switch(a, b):
+    # the hooks leave the generic inversion at t = 600 (or x = 1e-30) for an
+    # exact solve of F(x) = e^-t; no step at that switch or at t = 700, where
+    # a leading-term tail once stepped by 0.03 on Beta(200, 2)
+    dist = wc.beta_dist(a, b)
+    for t0 in (600.0, 700.0):
+        ts = np.array([np.nextafter(t0, 0.0), t0, np.nextafter(t0, np.inf)])
+        for side in ("-", "+"):
+            vals = dist.log_density_at_depth(side, ts)
+            assert np.max(np.abs(np.diff(vals))) <= 1e-10 * abs(vals[1]), (t0, side)
+
+
 def test_generic_tail_beyond_float_reach_is_domain_error():
     # log sf of Pareto(1/2) is -log(x)/2 >= -355 on the doubles
     heavy = dist_from_scipy("pareto(0.5)", stats.pareto(0.5))
@@ -225,6 +238,17 @@ def test_bvn_cdf_against_closed_form():
         assert val == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi), abs=1e-12)
     # margins
     assert float(bvn_cdf(8.0, 1.3, 0.5)) == pytest.approx(stats.norm.cdf(1.3), abs=1e-9)
+
+
+@pytest.mark.parametrize("rho", [0.999, -0.999, 0.9999, -0.9999])
+def test_bvn_cdf_near_unit_correlation(rho):
+    assert float(bvn_cdf(0.0, 0.0, rho)) == pytest.approx(
+        0.25 + math.asin(rho) / (2 * math.pi), rel=0, abs=1e-15)
+    law = stats.multivariate_normal([0.0, 0.0], [[1.0, rho], [rho, 1.0]])
+    points = np.array([[0.3, -0.2], [-1.5, 0.7], [2.0, 2.5], [-3.0, -2.9], [0.0, 1.0],
+                       [-1.0, 0.0], [1.2, 1.2]])
+    got = bvn_cdf(points[:, 0], points[:, 1], rho)
+    assert np.allclose(got, [law.cdf(p) for p in points], rtol=0, atol=1e-13)
 
 
 def test_coupling_validation():

@@ -5,6 +5,8 @@ import pytest
 from scipy import stats
 
 import wcontrast as wc
+from wcontrast import limitlaw
+from wcontrast.distributions import bvn_cdf
 from wcontrast.errors import HypothesisError, TruncationError, ValidationError
 from wcontrast.limitlaw import (bridge_cov_kernel, grid_mean_oracle_E,
                                 grid_mean_oracle_W2, iter_bridge_paths)
@@ -72,10 +74,116 @@ def test_closed_form_paths_equal_dense_cholesky(m, which, gauss_equal_pair,
 
 def test_summary_records_factor_and_rng(gauss_equal_pair):
     copula_pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5))
-    for pair, kind in ((gauss_equal_pair, "closed-form"), (copula_pair, "dense")):
-        meta = wc.build_bridge_grid(pair, m=16, delta=1e-3).summary()
+    custom_pair = wc.equal_pair(wc.gaussian(), wc.custom_coupling(_gauss_copula(0.5)))
+    metas = {kind: wc.build_bridge_grid(pair, m=128, delta=1e-3).summary()
+             for pair, kind in ((gauss_equal_pair, "closed-form"), (copula_pair, "low-rank"),
+                                (custom_pair, "dense"))}
+    for kind, meta in metas.items():
         assert meta["factor"] == kind
         assert meta["rng"] == "stream-v2"
+        assert ("rank" in meta) == (kind == "low-rank")
+    assert metas["low-rank"]["rank"] == 46
+    assert 0.0 < metas["low-rank"]["truncation_bound"] < 1e-16
+
+
+def _gauss_copula(rho):
+    """The Gaussian copula as a plain callable, for the custom (dense) route."""
+    return lambda u, v: bvn_cdf(stats.norm.ppf(u), stats.norm.ppf(v), rho)
+
+
+def _dense_sigma(grid, rho):
+    """The 2m x 2m joint covariance, its cross block from Owen's T."""
+    u = grid.u
+    K = np.minimum.outer(u, u) - np.outer(u, u)
+    z = stats.norm.ppf(u)
+    cross = bvn_cdf(z[:, None], z[None, :], rho) - np.outer(u, u)
+    return np.block([[K, cross], [cross.T, K]])
+
+
+# the Mehler rank whose Cramer bound first drops below 1e-16
+MEHLER_RANKS = {0.5: 46, -0.7: 89, 0.9: 301}
+
+
+@pytest.mark.parametrize("m", [1, 2, 32, 511])
+@pytest.mark.parametrize("rho", [0.5, -0.7, 0.9])
+def test_gaussian_copula_sigma_matches_owens_t(rho, m):
+    pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(rho))
+    grid = wc.build_bridge_grid(pair, m=m, delta=1e-4)
+    assert grid.factor_kind == ("low-rank" if MEHLER_RANKS[rho] <= m // 2 else "dense")
+    factor = _generator_factor(grid)
+    sigma = _dense_sigma(grid, rho)
+    assert np.linalg.norm(factor @ factor.T - sigma) <= 1e-12 * np.linalg.norm(sigma)
+    cross_diag = np.diag(sigma[:m, m:])
+    var_q = (2.0 * (grid.u - grid.u ** 2) - 2.0 * cross_diag) / grid.h_x ** 2
+    assert np.allclose(grid.var_bridge_diag, var_q, rtol=1e-12, atol=0.0)
+
+
+def test_gaussian_copula_rank_rule():
+    for rho, rank in MEHLER_RANKS.items():
+        pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(rho))
+        grid = wc.build_bridge_grid(pair, m=1023, delta=1e-4)
+        assert (grid.factor_kind, grid.rank) == ("low-rank", rank)
+        tail = 0.19 * abs(rho) ** (rank + 1) / ((rank + 1) * (1 - abs(rho)))
+        assert grid.truncation_bound == pytest.approx(tail, rel=1e-12)
+        assert tail < 1e-16 <= 0.19 * abs(rho) ** rank / (rank * (1 - abs(rho)))
+        # the generator's covariance on probe vectors, against the dense one
+        factor = _generator_factor(grid)
+        x = np.random.default_rng(1).standard_normal((2 * grid.m, 4))
+        want = _dense_sigma(grid, rho) @ x
+        assert np.linalg.norm(factor @ (factor.T @ x) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_gaussian_copula_rho_zero_is_independent(gauss_equal_pair):
+    pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.0))
+    grid = wc.build_bridge_grid(pair, m=64, delta=1e-3)
+    ref = wc.build_bridge_grid(gauss_equal_pair, m=64, delta=1e-3)
+    assert (grid.factor_kind, grid.rank, grid.cross) == ("low-rank", 0, None)
+    z = np.random.default_rng(3).standard_normal((128, 40))
+    for got, want in zip(grid.bridges(z), ref.bridges(z)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rho", [0.999, -0.999])
+def test_gaussian_copula_near_unit_rho_goes_dense(rho):
+    pair = wc.make_pair(wc.gaussian(), wc.gaussian(1, 1), wc.gaussian_coupling(rho))
+    grid = wc.build_bridge_grid(pair, m=64, delta=1e-3)
+    assert grid.factor_kind == "dense"
+    assert (grid.rank, grid.truncation_bound) == (64, 0.0)
+    draws = wc.draw_limit_ED(pair, wc.power_cost(2), grid, 600, seed=5, tail_frac=None,
+                             require_checks=False)
+    assert np.all(np.isfinite(draws.values))
+
+
+def test_low_rank_and_dense_copula_draws_agree_in_distribution():
+    cost = wc.power_cost(1.5)
+    values = []
+    for coupling, kind, seed in ((wc.gaussian_coupling(0.5), "low-rank", 31),
+                                 (wc.custom_coupling(_gauss_copula(0.5)), "dense", 32)):
+        pair = wc.equal_pair(wc.gaussian(), coupling)
+        grid = wc.build_bridge_grid(pair, m=255, delta=1e-4)
+        assert grid.factor_kind == kind
+        vals = wc.draw_limit_E(pair, cost, grid, 4000, seed=seed, tail_frac=None,
+                               require_checks=False).values
+        se = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(vals.mean() - grid_mean_oracle_E(pair, cost, grid)) <= 4.0 * se
+        values.append(vals)
+    assert stats.ks_2samp(*values).pvalue > 1e-3
+
+
+def test_default_gaussian_copula_grid_is_low_rank(monkeypatch):
+    def no_dense(*args):
+        raise AssertionError("the dense 2m x 2m factor was built")
+
+    monkeypatch.setattr(limitlaw, "_dense_factor", no_dense)
+    pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5))
+    grid = wc.build_bridge_grid(pair)
+    m = grid.m
+    assert (m, grid.factor_kind, grid.rank) == (2047, "low-rank", 46)
+    arrays = [grid.u, grid.factor, grid.h_x, grid.h_y, grid.weights,
+              grid.var_bridge_diag, *grid.cross]
+    assert max(a.size for a in arrays) <= m * grid.rank
+    for bx, by in iter_bridge_paths(grid, 3, seed=1):
+        assert bx.shape == by.shape == (m, 3)
 
 
 def test_cross_block_independent_and_comonotone(gauss_equal_pair):
@@ -133,6 +241,34 @@ def test_variance_bound_on_driving_bridge():
         var_bridge = grid.var_bridge_diag * grid.h_x ** 2   # unscale by h
         bound = 4.0 * np.minimum(grid.u, 1 - grid.u)
         assert np.all(var_bridge <= bound + 1e-9)
+
+
+def test_kernel_evaluates_copula_once():
+    # Marshall-Olkin copula: C(u, v) != C(v, u)
+    calls = []
+
+    def marshall_olkin(u, v):
+        calls.append(1)
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        return np.minimum(u ** 0.7 * v, u * v ** 0.2)
+
+    pair = wc.make_pair(wc.gaussian(), wc.gaussian(1, 2), wc.custom_coupling(marshall_olkin),
+                        wc.Partition.all_D())
+    us = np.linspace(0.01, 0.99, 40)
+    calls.clear()
+    kernel = bridge_cov_kernel(pair, us)
+    assert len(calls) == 1
+    # the kernel from two evaluations of the copula
+    hx = pair.dist_x.density_quantile(us)
+    hy = pair.dist_y.density_quantile(us)
+    K = np.minimum.outer(us, us) - np.outer(us, us)
+    uv = np.outer(us, us)
+    cross_uv = marshall_olkin(us[:, None], us[None, :]) - uv
+    cross_vu = marshall_olkin(us[:, None], us[None, :]).T - uv
+    assert not np.allclose(cross_uv, cross_vu)
+    two_eval = (K / np.outer(hx, hx) + K / np.outer(hy, hy)
+                - cross_uv / np.outer(hx, hy) - cross_vu / np.outer(hy, hx))
+    assert np.max(np.abs(kernel - two_eval)) <= 1e-15 * np.max(np.abs(two_eval))
 
 
 def test_kernel_symmetry_psd(gauss_shift_pair):
@@ -306,8 +442,19 @@ def test_draws_reproducible(gauss_equal_pair):
     b = wc.draw_limit_E(gauss_equal_pair, cost, grid, 40, seed=77,
                         tail_frac=None, require_checks=False)
     assert np.array_equal(a.values, b.values)
-    # chunking must not matter
-    c_small = [bx for bx, _ in iter_bridge_paths(grid, 40, seed=77, chunk=7)]
-    c_big = [bx for bx, _ in iter_bridge_paths(grid, 40, seed=77, chunk=40)]
-    assert np.array_equal(np.concatenate(c_small, axis=1),
-                          np.concatenate(c_big, axis=1))
+    # draw j, path and value, is bit-identical for every n_sim > j
+    couplings = {"closed-form": wc.independent(), "low-rank": wc.gaussian_coupling(0.5),
+                 "dense": wc.custom_coupling(_gauss_copula(0.5))}
+    for kind, coupling in couplings.items():
+        pair = wc.equal_pair(wc.gaussian(), coupling)
+        grid = wc.build_bridge_grid(pair, m=127, delta=1e-4)
+        assert grid.factor_kind == kind
+        ref = wc.draw_limit_E(pair, cost, grid, 1100, seed=77, tail_frac=None,
+                              require_checks=False).values
+        ref_paths = np.hstack([bx for bx, _ in iter_bridge_paths(grid, 1100, seed=77)])
+        for n_sim in (1, 37, 600):
+            vals = wc.draw_limit_E(pair, cost, grid, n_sim, seed=77, tail_frac=None,
+                                   require_checks=False).values
+            assert np.array_equal(vals, ref[:n_sim]), (kind, n_sim)
+            paths = np.hstack([bx for bx, _ in iter_bridge_paths(grid, n_sim, seed=77)])
+            assert np.array_equal(paths, ref_paths[:, :n_sim]), (kind, n_sim)
