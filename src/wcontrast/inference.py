@@ -249,9 +249,13 @@ def clt_alternative_distribution(pair: PairSpec, cost: CostSpec,
     """Asymptotic law of sqrt(n)(W_n - W(F,G)) under a fixed alternative.
 
     Returns the Gaussian variance sigma^2 when the limit is the pure
-    Gaussian term (1 < b < 2 with some disagreement region, or b = 1 with
-    no agreement region); otherwise returns shared-path draws of the mixed
-    limit. Confidence intervals follow as estimate +/- z sigma / sqrt(n).
+    Gaussian term (b > 1 with some disagreement region, or b = 1 with no
+    agreement region); otherwise returns shared-path draws of the mixed
+    limit. sigma^2 comes from ``sigma2_D`` on the true pair (its quantile
+    densities and copula), by deterministic quadrature, not from data: it
+    serves power and sample-size analysis for a known alternative, and
+    estimate +/- z sigma / sqrt(n) is a confidence interval only when the
+    pair is known.
     """
     if not pair.partition.has_D:
         raise ValidationError("alternative-distribution analysis requires a partition "

@@ -148,6 +148,24 @@ class BridgeGrid:
             zy = zy + U @ (s[:, None] * (U.T @ zx) - c[:, None] * (U.T @ zy))
         return bx, _markov_bridge(self.u, self.factor, zy)
 
+    def functional_variance(self, q_x: np.ndarray, q_y: np.ndarray) -> float:
+        """Exact Var(q_x^T B^X - q_y^T B^Y) of the bridge blocks that
+        ``bridges`` draws, with no draws: ||F^T v||^2, v = (q_x, -q_y), for
+        the dense factor; otherwise ||a||^2 + ||b||^2 - 2 a^T M b with
+        a = L^T q_x, b = L^T q_y and the cross map M (0 independent, I
+        comonotone, U diag(s) U^T low-rank), in O(m) or O(m r)."""
+        if self.factor_kind == FACTOR_DENSE:
+            return float(np.sum((self.factor.T @ np.concatenate((q_x, -q_y))) ** 2))
+        a, b = (self.factor[:, None] * _suffix_sums(self.u, np.column_stack((q_x, q_y)))).T
+        if self.coupling == "comonotone":
+            cross = a @ b
+        elif self.cross is not None:
+            U, s, _ = self.cross
+            cross = (U.T @ a) @ (s * (U.T @ b))
+        else:
+            cross = 0.0
+        return float(a @ a + b @ b - 2.0 * cross)
+
     def summary(self) -> dict:
         meta = {
             "m": self.m,
@@ -205,8 +223,7 @@ def build_bridge_grid(pair: PairSpec, m: int = DEFAULT_GRID[0],
     """
     if m < 1:
         raise ValidationError("bridge grid requires m >= 1")
-    if not 0.0 < delta < 0.5:
-        raise ValidationError("bridge grid requires 0 < delta < 1/2")
+    _check_delta(delta, "bridge grid")
     u = np.linspace(delta, 1.0 - delta, m) if m >= 2 else np.array([0.5])
 
     h_x = np.asarray(pair.dist_x.density_quantile(u), dtype=float)
@@ -257,6 +274,14 @@ def build_bridge_grid(pair: PairSpec, m: int = DEFAULT_GRID[0],
     )
 
 
+def _check_delta(delta: float, what: str) -> None:
+    """0 < delta < 1/2, with 1 - delta below 1 in floating point (below
+    about 1.1e-16 it rounds to 1, where the bridge kernel vanishes)."""
+    if not (0.0 < delta < 0.5 and 1.0 - delta < 1.0):
+        raise ValidationError(f"{what} requires 0 < delta < 1/2 with 1 - delta < 1 in "
+                              f"floating point; got delta = {delta!r}")
+
+
 def _markov_bridge(u: np.ndarray, coef: np.ndarray, z: np.ndarray) -> np.ndarray:
     """L @ z for the closed-form factor L[k,j] = (1 - u_k) coef_j, j <= k."""
     return (1.0 - u)[:, None] * np.cumsum(coef[:, None] * z, axis=0)
@@ -265,6 +290,15 @@ def _markov_bridge(u: np.ndarray, coef: np.ndarray, z: np.ndarray) -> np.ndarray
 def _suffix_sums(u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_{j>=i} (1 - u_j) x_j; L^T x is coef times this."""
     return np.cumsum(((1.0 - u)[:, None] * x)[::-1], axis=0)[::-1]
+
+
+def _kernel_apply(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """K x in O(n) for the bridge kernel K(u_i,u_j) = min(u_i,u_j) - u_i u_j
+    on increasing nodes u, x of shape (n, k):
+    (K x)_i = (1-u_i) sum_{j<=i} u_j x_j + u_i sum_{j>i} (1-u_j) x_j."""
+    above = np.zeros_like(x)
+    above[:-1] = _suffix_sums(u, x)[1:]
+    return (1.0 - u)[:, None] * np.cumsum(u[:, None] * x, axis=0) + u[:, None] * above
 
 
 def _probe_residual(got: np.ndarray, want: np.ndarray, what: str) -> float:
@@ -289,13 +323,8 @@ def _closed_form_factor(u: np.ndarray):
     coef = np.sqrt((u - prev) / ((1.0 - u) * (1.0 - prev)))
 
     x = _probes(len(u))
-    # (K x)_i = (1-u_i) sum_{j<=i} u_j x_j + u_i sum_{j>i} (1-u_j) x_j
-    tail = _suffix_sums(u, x)
-    above = np.zeros_like(x)
-    above[:-1] = tail[1:]
-    kx = (1.0 - u)[:, None] * np.cumsum(u[:, None] * x, axis=0) + u[:, None] * above
-    llt_x = _markov_bridge(u, coef, coef[:, None] * tail)    # L^T x = coef * tail
-    return coef, _probe_residual(llt_x, kx, "closed-form factor")
+    llt_x = _markov_bridge(u, coef, coef[:, None] * _suffix_sums(u, x))
+    return coef, _probe_residual(llt_x, _kernel_apply(u, x), "closed-form factor")
 
 
 def _mehler_rank(rho: float, max_rank: int):
@@ -803,7 +832,7 @@ def grid_mean_oracle_W2(pair: PairSpec, grid: BridgeGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sigma^2 of the sqrt(n) CLT: quadrature cross-validated by simulation
+# sigma^2 of the sqrt(n) CLT: kernel quadrature guarded by the grid factor
 # ---------------------------------------------------------------------------
 
 _GL120 = roots_legendre(120)
@@ -832,35 +861,63 @@ def _weight_fn(pair: PairSpec, cost: CostSpec, us: np.ndarray) -> np.ndarray:
     return w
 
 
+def _kernel_quadrature(pair: PairSpec, us: np.ndarray, wv: np.ndarray) -> float:
+    """wv^T Cov(Bq(u_i), Bq(u_j)) wv on increasing nodes us. With a = wv/h_X
+    and b = wv/h_Y it is a^T K a + b^T K b - 2 a^T C b, K the bridge kernel
+    applied in O(n) and C the cross covariance C(u,v) - uv: 0 (independent),
+    K (comonotone) or the Mehler features of a Gaussian copula, O(n r), when
+    a rank r <= n/2 suffices. Any other copula uses the dense kernel."""
+    kind = pair.coupling.kind
+    rank = None
+    if kind == "gaussian":
+        rank, _ = _mehler_rank(pair.coupling.rho, int(_MAX_RANK_FRACTION * len(us)))
+    if kind not in ("independent", "comonotone") and rank is None:
+        return float(wv @ bridge_cov_kernel(pair, us) @ wv)
+    a = wv / np.asarray(pair.dist_x.density_quantile(us), dtype=float)
+    b = wv / np.asarray(pair.dist_y.density_quantile(us), dtype=float)
+    ka, kb = _kernel_apply(us, np.column_stack((a, b))).T
+    if kind == "independent":
+        cross = 0.0
+    elif kind == "comonotone":
+        cross = a @ kb
+    else:
+        A = _mehler_features(us, rank)
+        cross = (A.T @ a) @ (pair.coupling.rho ** np.arange(1.0, rank + 1.0) * (A.T @ b))
+    return float(a @ ka + b @ kb - 2.0 * cross)
+
+
 def sigma2_D(pair: PairSpec, cost: CostSpec, delta: float = 1e-6,
              mc_m: int = 1023, mc_n: int = 40000, seed: int = 202406,
              rel_agreement: float = 0.02) -> float:
-    """Variance of int_D |rho'(tau)| Bq du.
+    """Variance of int_D |rho'(tau)| Bq du, computed with no random draws.
 
-    Deterministic route: composite Gauss-Legendre double quadrature of the
-    weighted covariance kernel. Stochastic route: empirical variance of the
-    simulated linear functional on an independent equispaced grid. The two
-    must agree to ``rel_agreement`` (relative), else a numerical error
-    reports both values.
+    Returned value: composite Gauss-Legendre quadrature over [delta,
+    1 - delta] of the weighted covariance kernel of the true pair, a
+    quadratic form applied in O(n) (independent, comonotone) or O(n r)
+    (Gaussian copula) and through the dense kernel for other copulas.
+    Guard: the exact variance of the same functional as a trapezoid rule on
+    the (mc_m, 1e-4) bridge grid, through the grid's own factor
+    (``BridgeGrid.functional_variance``). The two must agree to
+    ``rel_agreement`` (relative), else a NumericalError reports both; the
+    guard is deterministic. ``mc_n`` and ``seed`` are unused and kept for
+    callers of the former Monte Carlo guard.
     """
     if not pair.partition.has_D:
         raise ValidationError("sigma2_D requires a partition with a D-labeled interval")
+    _check_delta(delta, "sigma2_D")
     us, ws = _composite_gl_nodes(delta)
-    wv = _weight_fn(pair, cost, us) * ws
-    kernel = bridge_cov_kernel(pair, us)
-    quad_val = float(wv @ kernel @ wv)
+    quad_val = _kernel_quadrature(pair, us, _weight_fn(pair, cost, us) * ws)
 
     grid = build_bridge_grid(pair, m=mc_m, delta=1e-4)
     q = _weight_fn(pair, cost, grid.u) * grid.weights
-    samples = _collect(grid, mc_n, seed, lambda bx, by: q @ _driving_process(grid, bx, by))
-    mc_val = float(np.var(samples))
+    grid_val = grid.functional_variance(q / grid.h_x, q / grid.h_y)
 
-    scale = max(abs(quad_val), abs(mc_val))
+    scale = max(abs(quad_val), abs(grid_val))
     if scale < 1e-12:
         return max(quad_val, 0.0)      # degenerate coupling: both routes at zero
-    if abs(quad_val - mc_val) / scale > rel_agreement:
+    if abs(quad_val - grid_val) / scale > rel_agreement:
         raise NumericalError(
             f"sigma^2 routes disagree beyond {rel_agreement:.0%}: quadrature "
-            f"{quad_val:.6g} vs simulation {mc_val:.6g}"
+            f"{quad_val:.6g} vs bridge grid (m={mc_m}) {grid_val:.6g}"
         )
     return quad_val

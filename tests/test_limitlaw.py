@@ -7,7 +7,8 @@ from scipy import stats
 import wcontrast as wc
 from wcontrast import limitlaw
 from wcontrast.distributions import bvn_cdf
-from wcontrast.errors import HypothesisError, TruncationError, ValidationError
+from wcontrast.errors import (HypothesisError, NumericalError, TruncationError,
+                              ValidationError)
 from wcontrast.limitlaw import (bridge_cov_kernel, grid_mean_oracle_E,
                                 grid_mean_oracle_W2, iter_bridge_paths)
 
@@ -427,11 +428,96 @@ def test_sigma2_zero_for_degenerate_pair():
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
+def _shift_pair(coupling):
+    return wc.make_pair(wc.gaussian(0, 1), wc.gaussian(1, 1), coupling)
+
+
+def _sigma2_cases(bump_pair_comonotone):
+    """(pair, cost) for the sigma^2 oracles, by name."""
+    return {
+        "independent": (_shift_pair(wc.independent()), wc.power_cost(2)),
+        "pinball(0.3)": (_shift_pair(wc.independent()), wc.pinball_cost(0.3)),
+        "rho=0.5": (_shift_pair(wc.gaussian_coupling(0.5)), wc.power_cost(2)),
+        "rho=-0.7": (_shift_pair(wc.gaussian_coupling(-0.7)), wc.power_cost(2)),
+        "rho=0.9": (_shift_pair(wc.gaussian_coupling(0.9)), wc.power_cost(2)),
+        "comonotone bump": (bump_pair_comonotone, wc.power_cost(2)),
+    }
+
+
+@pytest.mark.parametrize("case", ["independent", "rho=0.5", "rho=-0.7", "pinball(0.3)",
+                                  "comonotone bump"])
+def test_sigma2_monte_carlo_oracle(case, bump_pair_comonotone):
+    # Monte Carlo oracle: the empirical variance of 40,000 simulated linear
+    # functionals agrees with the quadrature and with the exact grid
+    # variance to 2%; the grid variance is exactly q^T Sigma q
+    pair, cost = _sigma2_cases(bump_pair_comonotone)[case]
+    grid = wc.build_bridge_grid(pair, m=511, delta=1e-4)
+    q = limitlaw._weight_fn(pair, cost, grid.u) * grid.weights
+    samples = limitlaw._collect(grid, 40000, 202406,
+                                lambda bx, by: q @ limitlaw._driving_process(grid, bx, by))
+    mc_val = float(np.var(samples))
+    grid_val = grid.functional_variance(q / grid.h_x, q / grid.h_y)
+    assert mc_val == pytest.approx(wc.sigma2_D(pair, cost), rel=0.02)
+    assert mc_val == pytest.approx(grid_val, rel=0.02)
+    assert grid_val == pytest.approx(q @ bridge_cov_kernel(pair, grid.u) @ q, rel=1e-10)
+
+
+@pytest.mark.parametrize("case", ["independent", "comonotone bump", "rho=-0.7", "rho=0.5",
+                                  "rho=0.9", "custom"])
+def test_sigma2_quadrature_matches_dense_kernel(case, bump_pair_comonotone, monkeypatch):
+    # the O(n) / O(n r) quadratic form equals the dense-kernel quadrature;
+    # only a copula with no structure evaluates the dense kernel
+    if case == "custom":
+        pair, cost = _shift_pair(wc.custom_coupling(_gauss_copula(0.5))), wc.power_cost(2)
+    else:
+        pair, cost = _sigma2_cases(bump_pair_comonotone)[case]
+    us, ws = limitlaw._composite_gl_nodes(1e-6)
+    wv = limitlaw._weight_fn(pair, cost, us) * ws
+    dense = float(wv @ bridge_cov_kernel(pair, us) @ wv)
+    calls = []
+    monkeypatch.setattr(limitlaw, "bridge_cov_kernel",
+                        lambda *args: calls.append(1) or bridge_cov_kernel(*args))
+    assert wc.sigma2_D(pair, cost, mc_m=511) == pytest.approx(dense, rel=1e-12, abs=0)
+    assert len(calls) == (case == "custom")
+
+
+def test_sigma2_makes_no_draws(gauss_shift_pair, monkeypatch):
+    # the guard is the exact grid variance: no generator is ever built, and
+    # the Monte Carlo keywords are accepted and ignored
+    def no_rng(*args):
+        raise AssertionError("sigma2_D drew random numbers")
+
+    monkeypatch.setattr(limitlaw, "derive_rng", no_rng)
+    cost = wc.power_cost(2)
+    val = wc.sigma2_D(gauss_shift_pair, cost)
+    assert val == pytest.approx(8.0, abs=0.08)
+    assert wc.sigma2_D(gauss_shift_pair, cost, mc_m=255, mc_n=40000) == val
+    assert wc.sigma2_D(gauss_shift_pair, cost, mc_n=10, seed=1) == val
+
+
+def test_sigma2_guard_rejects_coarse_grid(gauss_shift_pair):
+    # at m = 63 the trapezoid variance is 7% above the quadrature: the guard
+    # trips on every call, not by chance
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="disagree beyond 2%"):
+            wc.sigma2_D(gauss_shift_pair, wc.power_cost(2), mc_m=63)
+
+
 def test_grid_validation(gauss_equal_pair):
     with pytest.raises(ValidationError):
         wc.build_bridge_grid(gauss_equal_pair, m=0)
     with pytest.raises(ValidationError):
         wc.build_bridge_grid(gauss_equal_pair, m=16, delta=0.7)
+    # 1 - delta rounds to 1 below about 1.1e-16
+    with pytest.raises(ValidationError, match="1 - delta < 1"):
+        wc.build_bridge_grid(wc.equal_pair(wc.uniform()), m=100, delta=1e-17)
+    wc.build_bridge_grid(wc.equal_pair(wc.uniform()), m=100, delta=2e-16)
+
+
+@pytest.mark.parametrize("delta", [1e-17, 0.0, 0.5, float("nan")])
+def test_sigma2_delta_validation(gauss_shift_pair, delta):
+    with pytest.raises(ValidationError, match="delta"):
+        wc.sigma2_D(gauss_shift_pair, wc.power_cost(2), delta=delta)
 
 
 def test_draws_reproducible(gauss_equal_pair):
