@@ -15,8 +15,7 @@ from .distributions import (CouplingSpec, DistSpec, PairSpec, Partition,
 from .errors import (DomainError, HypothesisError, IntegrabilityError,
                      NumericalError, TruncationError, ValidationError,
                      WContrastError)
-from .estimator import (PairedSample, PopulationCost, QuadratureSpec,
-                        quantile_process, w1_cdf_distance, w_cost_empirical,
+from .estimator import (PairedSample, PopulationCost, w_cost_empirical,
                         w_cost_population)
 from .harness import (ExperimentConfig, StudyResult, emit_limit_draws,
                       emit_study, ingest_csv, load_config, run_clt_study)

@@ -30,13 +30,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .costs import CostSpec
 from .distributions import LEFT, RIGHT, DistSpec, PairSpec
 from .errors import ValidationError
 from .tails import (CONVERGENT, DIVERGENT, assess_tail, probe_grid,
-                    stabilized_running_max)
+                    quantile_rule, stabilized_running_max)
 
 __all__ = [
     "CheckReport",
@@ -454,16 +453,13 @@ def check_w2_hypotheses(dist: DistSpec) -> CheckReport:
 
 
 def w2_variance_integral(dist: DistSpec) -> float:
-    """Full int_0^1 u(1-u)/h(u)^2 du: central quadrature plus probed tail
-    integrals with power-law extrapolation beyond the probe range."""
-    def integrand(u):
-        h = float(dist.density_quantile(np.asarray(u)))
-        return u * (1.0 - u) / h ** 2
-
+    """Full int_0^1 u(1-u)/h(u)^2 du: ``tails.quantile_rule`` on the central
+    [e^-5, 1 - e^-5] plus probed tail integrals with power-law extrapolation
+    beyond the probe range."""
     t0 = 5.0
-    a, b = math.exp(-t0), 1 - math.exp(-t0)
-    central, _ = quad(integrand, a, b, limit=400)
-    total = central
+    us, ws = quantile_rule(math.exp(-t0), 1 - math.exp(-t0))
+    h = np.asarray(dist.density_quantile(us), dtype=float)
+    total = float(ws @ (us * (1.0 - us) / h ** 2))
     for side in (LEFT, RIGHT):
         assessment = assess_tail(_w2_integrand_log(dist, side), t0, _Y_HI, n=400)
         total += assessment.total

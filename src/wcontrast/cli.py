@@ -17,9 +17,10 @@ from pathlib import Path
 import yaml
 
 from .assumptions import check_fg
+from .costs import power_cost
 from .errors import (HypothesisError, NumericalError, ValidationError,
                      WContrastError)
-from .estimator import w1_cdf_distance, w_cost_empirical
+from .estimator import w_cost_empirical
 from .harness import (ExperimentConfig, emit_limit_draws, emit_study, ingest_csv,
                       load_config, resolve_cost, resolve_pair, run_clt_study)
 from .inference import two_sample_test
@@ -55,7 +56,7 @@ def _cmd_estimate(args) -> int:
         "n": sample.n,
         "cost": cost.name,
         "w_cost": w_cost_empirical(sample, cost),
-        "w1_cdf_distance": w1_cdf_distance(sample),
+        "w1_cdf_distance": w_cost_empirical(sample, power_cost(1)),
     }
     _emit_json(result, args.out)
     return 0

@@ -1,4 +1,4 @@
-"""Order-statistic contrast estimators and quantile processes.
+"""Order-statistic contrast estimators and the population contrast.
 
 The plug-in estimator of the population contrast ``int_0^1 rho_c(F^{-1} -
 G^{-1}) du`` is the order-statistic mean ``(1/n) sum rho_c(X_(i) - Y_(i))``;
@@ -11,26 +11,24 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .costs import CostSpec, evaluate
 from .distributions import PairSpec
-from .errors import DomainError, IntegrabilityError, ValidationError
-from .tails import CONVERGENT, DIVERGENT, assess_tail
+from .errors import IntegrabilityError, ValidationError
+from .tails import CONVERGENT, DIVERGENT, assess_tail, quantile_rule
 
 __all__ = [
     "PairedSample",
-    "QuadratureSpec",
     "PopulationCost",
     "w_cost_empirical",
     "w_cost_population",
-    "w1_cdf_distance",
-    "quantile_process",
-    "empirical_quantile",
 ]
+
+# the population contrast is integrated over [delta, 1 - delta]; the tail
+# bound accounts for the clipped mass
+_DELTA = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,20 +61,9 @@ class PairedSample:
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """Knobs for population integrals: clip level and tolerances."""
-
-    delta: float = 1e-8          # integrate over [delta, 1 - delta]
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    tail_tol: Optional[float] = None   # max allowed tail bound (None: report only)
-
-
-@dataclass(frozen=True)
 class PopulationCost:
     value: float                 # integral over the clipped interval
     tail_bound: float            # estimated truncated-tail contribution
-    quad_error: float
 
     @property
     def total(self) -> float:
@@ -102,35 +89,24 @@ def w_cost_empirical(sample: PairedSample, cost: CostSpec) -> float:
     return total
 
 
-def w_cost_population(pair: PairSpec, cost: CostSpec,
-                      quad_spec: QuadratureSpec = QuadratureSpec()) -> PopulationCost:
-    """Population contrast by adaptive quadrature of rho_c(tau(u)) on
-    [delta, 1-delta], plus a tail-decay bound for the clipped mass.
+def w_cost_population(pair: PairSpec, cost: CostSpec) -> PopulationCost:
+    """Population contrast: ``tails.quantile_rule`` on each D interval
+    clipped to [delta, 1 - delta] (delta = 1e-8) of rho_c(tau(u)), plus a
+    tail-decay bound for the clipped mass.
 
     Intervals declared ``E`` contribute exactly zero. The tail bound is an
     exponent-extrapolated estimate of the discarded integral; if a tail
-    diverges (or exceeds ``tail_tol``) an integrability error names it.
+    diverges an integrability error names it.
     """
-    delta = quad_spec.delta
-
-    def integrand(u):
-        return float(evaluate(cost, float(pair.tau(np.asarray(u)))))
-
     value = 0.0
-    err = 0.0
-    for lo, hi, lab in pair.partition.intervals():
-        if lab == "E":
-            continue
-        a, b = max(lo, delta), min(hi, 1.0 - delta)
-        if a >= b:
-            continue
-        v, e = quad(integrand, a, b, limit=400,
-                    epsabs=quad_spec.abs_tol, epsrel=quad_spec.rel_tol)
-        value += v
-        err += e
+    for lo, hi, _ in pair.partition.intervals("D"):
+        a, b = max(lo, _DELTA), min(hi, 1.0 - _DELTA)
+        if a < b:
+            us, ws = quantile_rule(a, b)
+            value += float(ws @ np.asarray(evaluate(cost, pair.tau(us)), dtype=float))
 
     tail_bound = 0.0
-    t0 = -math.log(delta)
+    t0 = -math.log(_DELTA)
     for side, lab in (("-", pair.partition.left_label), ("+", pair.partition.right_label)):
         if lab == "E":
             continue
@@ -152,48 +128,4 @@ def w_cost_population(pair: PairSpec, cost: CostSpec,
         bound = assessment.total if assessment.verdict == CONVERGENT else assessment.integral
         tail_bound += bound
 
-    if quad_spec.tail_tol is not None and tail_bound > quad_spec.tail_tol:
-        raise IntegrabilityError(
-            f"tail bound {tail_bound:.3g} exceeds requested tolerance {quad_spec.tail_tol:.3g}"
-        )
-    return PopulationCost(value=float(value), tail_bound=float(tail_bound), quad_error=float(err))
-
-
-def w1_cdf_distance(sample: PairedSample) -> float:
-    """Exact integral of |F_n - G_n| over the line.
-
-    The two empirical c.d.f.s are piecewise constant between merged data
-    points, so the integral is a finite sum with no quadrature error.
-    """
-    grid = np.sort(np.concatenate([sample.sorted_xs, sample.sorted_ys]))
-    if grid[0] == grid[-1]:
-        return 0.0
-    cuts = grid[:-1]
-    fx = np.searchsorted(sample.sorted_xs, cuts, side="right")
-    fy = np.searchsorted(sample.sorted_ys, cuts, side="right")
-    gaps = np.diff(grid)
-    return float(np.sum(np.abs(fx - fy) * gaps)) / sample.n
-
-
-def empirical_quantile(sorted_vals: np.ndarray, u) -> np.ndarray:
-    """Left-continuous generalized inverse: X_(ceil(n u)), clipped to [1, n]."""
-    u = np.asarray(u, dtype=float)
-    n = len(sorted_vals)
-    idx = np.clip(np.ceil(n * u).astype(int), 1, n)
-    return sorted_vals[idx - 1]
-
-
-def quantile_process(sample: PairedSample, pair: PairSpec, grid) -> np.ndarray:
-    """Scaled quantile processes sqrt(n) (F_n^{-1} - F^{-1}, G_n^{-1} - G^{-1}).
-
-    Returns an array of shape (len(grid), 2); diagnostic use.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
-        raise DomainError("quantile process requires grid values in (0,1)")
-    root_n = math.sqrt(sample.n)
-    bx = root_n * (empirical_quantile(sample.sorted_xs, grid)
-                   - np.asarray(pair.dist_x.quantile(grid), dtype=float))
-    by = root_n * (empirical_quantile(sample.sorted_ys, grid)
-                   - np.asarray(pair.dist_y.quantile(grid), dtype=float))
-    return np.column_stack([bx, by])
+    return PopulationCost(value=float(value), tail_bound=float(tail_bound))

@@ -34,8 +34,7 @@ from .costs import CostSpec
 from .distributions import (CouplingSpec, Partition, PairSpec, bump_warp,
                             sample_pairs, warped_dist)
 from .errors import ValidationError
-from .estimator import PairedSample, QuadratureSpec, w_cost_empirical, \
-    w_cost_population
+from .estimator import PairedSample, w_cost_empirical, w_cost_population
 from .inference import wp_distance_to_dist
 from .limitlaw import (_DEFAULT_TAIL_FRAC, DEFAULT_GRID, REGIMES, THEOREM_ONE_SAMPLE,
                        LimitDraws, select_regime)
@@ -187,8 +186,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyResult:
     scale = regime.rate(config.n, config.cost, config.p)
     centering = 0.0
     if regime.centred:
-        pop = w_cost_population(config.pair, config.cost, QuadratureSpec())
-        centering = pop.value + pop.tail_bound
+        centering = w_cost_population(config.pair, config.cost).total
     statistics = np.asarray([_statistic(config, i, scale, centering)
                              for i in range(config.replications)], dtype=float)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import expit, logit, roots_jacobi
 
 from .costs import CostSpec
 from .distributions import DistSpec, PairSpec, equal_pair
@@ -27,6 +27,7 @@ from .errors import ValidationError
 from .estimator import PairedSample, w_cost_empirical
 from .limitlaw import (DEFAULT_GRID, THEOREM_GAUSSIAN, THEOREM_ONE_SAMPLE,
                        LimitDraws, Regime, select_regime, sigma2_D)
+from .tails import GL16, logit_nodes, logit_panels
 
 __all__ = [
     "TestResult",
@@ -119,29 +120,25 @@ def _simulated_test(regime: Regime, pair: PairSpec, cost: Optional[CostSpec], p:
     )
 
 
-_GL16 = roots_legendre(16)
-# edge panels: one per decade of distance to the near endpoint of (0,1)
-_EDGE_DECADES = 10.0 ** np.arange(-13, 0)
+# the statistic integrates over [_EDGE, 1 - _EDGE]
+_EDGE = 1e-13
 
 
 def wp_distance_to_dist(xs: np.ndarray, null_dist: DistSpec, p: float) -> float:
     """W_p^p between the empirical law of xs and a fixed distribution:
-    piecewise integration of |F_n^{-1}(u) - F0^{-1}(u)|^p over
-    [1e-13, 1 - 1e-13].
+    integration of |F_n^{-1}(u) - F0^{-1}(u)|^p over [1e-13, 1 - 1e-13] in
+    s = logit(u).
 
-    The empirical inverse is constant (= x_i) on each ((i-1)/n, i/n]. Each
-    interior segment is one 16-node Gauss-Legendre panel in u. The two
-    edge segments, [1e-13, 1/n] and [1 - 1/n, 1 - 1e-13], hold the
-    possibly unbounded null quantile; they are integrated in
-    s = log(distance to the near endpoint), one panel per decade, where
-    the integrand is smooth. With n = 1 the single segment is split at 1/2
-    into a low and a high edge. A panel whose quantile range contains its
-    x_i is split at the kink u* = F0(x_i), found by comparing x_i with
-    F0^{-1} at the panel ends, so ``cdf`` is called only for those panels.
-    The two halves use Gauss-Jacobi nodes with the weight |s - s*|^p at
-    the kink, which integrate the |x_i - F0^{-1}|^p corner exactly for any
-    p. All nodes are evaluated in one vectorized ``quantile`` call; for a
-    null whose quantile is analytic the result is exact to rounding.
+    The empirical inverse is constant (= x_i) on each ((i-1)/n, i/n], so the
+    panels come from ``tails.logit_panels`` with breaks at i/n: each lies in
+    one segment, where the possibly unbounded null quantile is smooth in s.
+    A panel whose quantile range contains its x_i is split at the kink
+    s* = logit(F0(x_i)), found by comparing x_i with F0^{-1} at the panel
+    ends, so ``cdf`` is called only for those panels. The two halves use
+    Gauss-Jacobi nodes with the weight |s - s*|^p at the kink, which
+    integrate the |x_i - F0^{-1}|^p corner exactly for any p. All nodes are
+    evaluated in one vectorized ``quantile`` call; for a null whose quantile
+    is analytic the result is exact to rounding.
     """
     xs = np.sort(np.asarray(xs, dtype=float))
     n = len(xs)
@@ -149,59 +146,28 @@ def wp_distance_to_dist(xs: np.ndarray, null_dist: DistSpec, p: float) -> float:
         raise ValidationError("goodness-of-fit requires at least one observation")
     if not np.all(np.isfinite(xs)):
         raise ValidationError("goodness-of-fit sample contains non-finite values")
-    width = min(1.0 / n, 0.5)
-    # edge panel ends as distances to the near endpoint
-    edge_d = np.append(_EDGE_DECADES[_EDGE_DECADES < width], width)
-    k = len(edge_d) - 1
-    inner = np.arange(1, n) / n if n > 1 else np.array([0.5])
-    # panel ends in u, increasing: low edge, interior segments, high edge
-    ends = np.concatenate([edge_d[:-1], inner, 1.0 - edge_d[-2::-1]])
-    # per panel: ends in its coordinate (u inside, log-distance on the
-    # edges), side (0 inside, 1 low edge, 2 high edge) and observation
-    log_d = np.log(edge_d)
-    c_lo = np.concatenate([log_d[:-1], inner[:-1], log_d[:0:-1]])
-    c_hi = np.concatenate([log_d[1:], inner[1:], log_d[-2::-1]])
-    side = np.repeat([1, 0, 2], [k, len(inner) - 1, k])
-    obs = xs[np.concatenate([np.zeros(k, dtype=int), np.arange(1, len(inner)),
-                             np.full(k, n - 1)])]
+    ends, segment = logit_panels(_EDGE, 1.0 - _EDGE, np.arange(1, n) / n)
+    lo, hi, obs = ends[:-1], ends[1:], xs[segment]
 
-    q_ends = np.asarray(null_dist.quantile(ends), dtype=float)
-    kinked = np.nonzero((q_ends[:-1] < obs) & (obs < q_ends[1:]))[0]
-    smooth = np.ones(len(obs), dtype=bool)
-    smooth[kinked] = False
-    # (coordinate ends, side, observation, nodes, weights) per panel group
-    groups = [(c_lo[smooth], c_hi[smooth], side[smooth], obs[smooth]) + _GL16]
-    if kinked.size:
-        u_star = np.asarray(null_dist.cdf(obs[kinked]), dtype=float)
-        s, lo_k, hi_k, x_k = side[kinked], c_lo[kinked], c_hi[kinked], obs[kinked]
-        with np.errstate(divide="ignore"):
-            c_star = np.where(s == 0, u_star,
-                              np.where(s == 1, np.log(u_star), np.log1p(-u_star)))
-        c_star = np.clip(c_star, np.minimum(lo_k, hi_k), np.maximum(lo_k, hi_k))
+    q_ends = np.asarray(null_dist.quantile(expit(ends)), dtype=float)
+    kinked = (q_ends[:-1] < obs) & (obs < q_ends[1:])
+    # (panel ends in s, observation, nodes, weights) per panel group
+    groups = [(lo[~kinked], hi[~kinked], obs[~kinked]) + GL16]
+    if kinked.any():
+        lo_k, hi_k, x_k = lo[kinked], hi[kinked], obs[kinked]
+        s_star = np.clip(logit(np.asarray(null_dist.cdf(x_k), dtype=float)), lo_k, hi_k)
         j_nodes, j_weights = _kink_rule(p)
-        groups.append((lo_k, c_star, s, x_k, -j_nodes, j_weights))
-        groups.append((c_star, hi_k, s, x_k, j_nodes, j_weights))
+        groups.append((lo_k, s_star, x_k, -j_nodes, j_weights))
+        groups.append((s_star, hi_k, x_k, j_nodes, j_weights))
 
-    us, jacs = [], []
-    for lo, hi, sd, _, t, _ in groups:
-        c = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * t
-        # u(c) and du/dc: c inside; e^c on the low edge; 1 - e^c on the
-        # high edge, whose panels run from the inner end outward
-        u, jac = c.copy(), np.ones_like(c)
-        rows = sd != 0
-        d = np.exp(c[rows])
-        high = (sd[rows] == 2)[:, None]
-        u[rows] = np.where(high, 1.0 - d, d)
-        jac[rows] = np.where(high, -d, d)
-        us.append(u.ravel())
-        jacs.append(jac)
-    q0 = np.asarray(null_dist.quantile(np.concatenate(us)), dtype=float)
+    rules = [logit_nodes(a, b, t, w) for a, b, _, t, w in groups]
+    q0 = np.asarray(null_dist.quantile(np.concatenate([u.ravel() for u, _ in rules])),
+                    dtype=float)
     total, start = 0.0, 0
-    for (lo, hi, _, x, t, w), jac in zip(groups, jacs):
-        q = q0[start:start + jac.size].reshape(jac.shape)
-        start += jac.size
-        vals = np.abs(x[:, None] - q) ** p * jac
-        total += float((vals @ w) @ (0.5 * (hi - lo)))
+    for (_, _, x, _, _), (u, w) in zip(groups, rules):
+        q = q0[start:start + u.size].reshape(u.shape)
+        start += u.size
+        total += float(np.sum(np.abs(x[:, None] - q) ** p * w))
     return total
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri, roots_legendre
+from scipy.special import ndtri
 
 from .assumptions import (PASS, check_cfg_e, check_cfg_ed, check_compact,
                           check_pareto_dominance, check_w2_hypotheses)
@@ -33,7 +33,7 @@ from .distributions import LEFT, RIGHT, DistSpec, PairSpec, equal_pair
 from .errors import (HypothesisError, NumericalError, TruncationError,
                      ValidationError)
 from .seeding import derive_rng
-from .tails import CONVERGENT, assess_tail
+from .tails import CONVERGENT, assess_tail, quantile_rule
 
 __all__ = [
     "BridgeGrid",
@@ -835,23 +835,6 @@ def grid_mean_oracle_W2(pair: PairSpec, grid: BridgeGrid) -> float:
 # sigma^2 of the sqrt(n) CLT: kernel quadrature guarded by the grid factor
 # ---------------------------------------------------------------------------
 
-_GL120 = roots_legendre(120)
-
-
-def _composite_gl_nodes(delta: float):
-    edges = np.array([delta, 1e-4, 1e-3, 1e-2, 0.1, 0.5,
-                      0.9, 0.99, 0.999, 0.9999, 1.0 - delta])
-    edges = np.unique(np.clip(edges, delta, 1.0 - delta))
-    nodes, weights = [], []
-    x, w = _GL120
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        nodes.append(0.5 * (b - a) * (x + 1.0) + a)
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _weight_fn(pair: PairSpec, cost: CostSpec, us: np.ndarray) -> np.ndarray:
     """|rho'(tau(u))| on D-labeled points, 0 elsewhere."""
     w = np.zeros_like(us)
@@ -891,10 +874,11 @@ def sigma2_D(pair: PairSpec, cost: CostSpec, delta: float = 1e-6,
              rel_agreement: float = 0.02) -> float:
     """Variance of int_D |rho'(tau)| Bq du, computed with no random draws.
 
-    Returned value: composite Gauss-Legendre quadrature over [delta,
-    1 - delta] of the weighted covariance kernel of the true pair, a
-    quadratic form applied in O(n) (independent, comonotone) or O(n r)
-    (Gaussian copula) and through the dense kernel for other copulas.
+    Returned value: ``tails.quantile_rule`` over [delta, 1 - delta], split
+    at the partition breakpoints, of the weighted covariance kernel of the
+    true pair, a quadratic form applied in O(n) (independent, comonotone)
+    or O(n r) (Gaussian copula) and through the dense kernel for other
+    copulas.
     Guard: the exact variance of the same functional as a trapezoid rule on
     the (mc_m, 1e-4) bridge grid, through the grid's own factor
     (``BridgeGrid.functional_variance``). The two must agree to
@@ -905,7 +889,7 @@ def sigma2_D(pair: PairSpec, cost: CostSpec, delta: float = 1e-6,
     if not pair.partition.has_D:
         raise ValidationError("sigma2_D requires a partition with a D-labeled interval")
     _check_delta(delta, "sigma2_D")
-    us, ws = _composite_gl_nodes(delta)
+    us, ws = quantile_rule(delta, 1.0 - delta, pair.partition.breaks)
     quad_val = _kernel_quadrature(pair, us, _weight_fn(pair, cost, us) * ws)
 
     grid = build_bridge_grid(pair, m=mc_m, delta=1e-4)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import wcontrast as wc
+from wcontrast.errors import DomainError
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +60,40 @@ def exp_growth_cost(b: float, gamma: float) -> wc.CostSpec:
         rho, rho, b=(b, b), gamma=(gamma, gamma),
         log_rho=(log_rho, log_rho), name=f"expcost(b={b},g={gamma})",
     )
+
+
+def w1_cdf_distance(sample: wc.PairedSample) -> float:
+    """Exact integral of |F_n - G_n| over the line: an oracle for the
+    order-statistic W1. The two empirical c.d.f.s are piecewise constant
+    between merged data points, so the integral is a finite sum with no
+    quadrature error."""
+    grid = np.sort(np.concatenate([sample.sorted_xs, sample.sorted_ys]))
+    if grid[0] == grid[-1]:
+        return 0.0
+    cuts = grid[:-1]
+    fx = np.searchsorted(sample.sorted_xs, cuts, side="right")
+    fy = np.searchsorted(sample.sorted_ys, cuts, side="right")
+    gaps = np.diff(grid)
+    return float(np.sum(np.abs(fx - fy) * gaps)) / sample.n
+
+
+def empirical_quantile(sorted_vals: np.ndarray, u) -> np.ndarray:
+    """Left-continuous generalized inverse: X_(ceil(n u)), clipped to [1, n]."""
+    u = np.asarray(u, dtype=float)
+    n = len(sorted_vals)
+    idx = np.clip(np.ceil(n * u).astype(int), 1, n)
+    return sorted_vals[idx - 1]
+
+
+def quantile_process(sample: wc.PairedSample, pair: wc.PairSpec, grid) -> np.ndarray:
+    """Scaled quantile processes sqrt(n) (F_n^{-1} - F^{-1}, G_n^{-1} - G^{-1})
+    on ``grid``, shape (len(grid), 2)."""
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid <= 0.0) or np.any(grid >= 1.0):
+        raise DomainError("quantile process requires grid values in (0,1)")
+    root_n = math.sqrt(sample.n)
+    bx = root_n * (empirical_quantile(sample.sorted_xs, grid)
+                   - np.asarray(pair.dist_x.quantile(grid), dtype=float))
+    by = root_n * (empirical_quantile(sample.sorted_ys, grid)
+                   - np.asarray(pair.dist_y.quantile(grid), dtype=float))
+    return np.column_stack([bx, by])

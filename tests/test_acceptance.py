@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tests.conftest import w1_cdf_distance
 import wcontrast as wc
 from wcontrast.harness import ExperimentConfig, run_clt_study
 from wcontrast.limitlaw import build_bridge_grid, grid_mean_oracle_W2
@@ -130,7 +131,7 @@ def test_criterion_7_w1_identity():
         xs = rng.normal(size=n) * scale
         ys = rng.normal(size=n) * scale + float(rng.uniform(-2, 2))
         s = wc.PairedSample(xs, ys)
-        worst = max(worst, abs(wc.w1_cdf_distance(s) - wc.w_cost_empirical(s, cost)))
+        worst = max(worst, abs(w1_cdf_distance(s) - wc.w_cost_empirical(s, cost)))
     ok = worst <= 1e-12
     _report(7, ok, f"max |identity gap| = {worst:.3e} (<= 1e-12) over 1000 samples")
 

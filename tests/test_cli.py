@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from tests.conftest import w1_cdf_distance
 from wcontrast import cli
 from wcontrast.cli import main
 from wcontrast.errors import ValidationError
+from wcontrast.harness import ingest_csv
 
 
 @pytest.fixture()
@@ -45,6 +47,8 @@ def test_estimate_subcommand(data_csv, tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["n"] == 200
     assert payload["w_cost"] == pytest.approx(payload["w1_cdf_distance"], abs=1e-12)
+    oracle = w1_cdf_distance(ingest_csv(str(data_csv)))
+    assert payload["w1_cdf_distance"] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_test_subcommand(data_csv, null_yaml, tmp_path):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special, stats
 
+from tests.conftest import empirical_quantile, quantile_process, w1_cdf_distance
 import wcontrast as wc
 from wcontrast.errors import DomainError, ValidationError
-from wcontrast.estimator import empirical_quantile
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -104,6 +105,38 @@ def test_population_cost_examples(gauss_equal_pair, gauss_shift_pair):
     assert var.value + var.tail_bound == pytest.approx(1.0, abs=1e-6)
 
 
+# w_cost_population integrates over [delta, 1 - delta]
+POP_DELTA = 1e-8
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+def test_population_cost_shift_closed_form(gauss_shift_pair, p):
+    # tau = -1 everywhere: the clipped integral is the clipped mass
+    val = wc.w_cost_population(gauss_shift_pair, wc.power_cost(p)).value
+    assert val == pytest.approx(1.0 - 2.0 * POP_DELTA, rel=1e-12, abs=0)
+
+
+def test_population_cost_bump_closed_form(bump_pair_comonotone):
+    # |tau| is the bump 0.15 sin^2 on D = [0.2, 0.5], whose mean is 0.15 / 2
+    val = wc.w_cost_population(bump_pair_comonotone, wc.power_cost(1)).value
+    assert val == pytest.approx(0.15 * 0.3 / 2.0, rel=1e-12, abs=0)
+
+
+def test_population_cost_scale_second_moment():
+    # (Q, 2Q) scale pairs with power(2): tau = -Q, so the value is the
+    # second moment of the law over the quantile range [delta, 1 - delta]
+    c = stats.norm.isf(POP_DELTA)
+    gauss = (1.0 - 2.0 * POP_DELTA) - 2.0 * c * stats.norm.pdf(c)
+    # Weibull(3): X^2 = E^(2/3) with E ~ Exp(1), cut at -log(1 - delta), -log(delta)
+    a, b = -math.log1p(-POP_DELTA), -math.log(POP_DELTA)
+    weibull = special.gamma(5 / 3) * (special.gammaincc(5 / 3, a) - special.gammaincc(5 / 3, b))
+    cases = ((wc.make_pair(wc.gaussian(0, 1), wc.gaussian(0, 2)), gauss),
+             (wc.make_pair(wc.weibull(3.0), wc.weibull(3.0, scale=2.0)), weibull))
+    for pair, exact in cases:
+        val = wc.w_cost_population(pair, wc.power_cost(2)).value
+        assert val == pytest.approx(exact, rel=1e-12, abs=0)
+
+
 def test_population_cost_integrability_error():
     # Pareto index 2 has infinite variance: the tail integral diverges
     pair = wc.make_pair(wc.pareto(2.0), wc.pareto(2.0, scale=3.0))
@@ -117,12 +150,12 @@ def test_w1_identity_small():
     for _ in range(100):
         n = int(rng.integers(1, 400))
         s = wc.PairedSample(rng.normal(size=n), rng.normal(size=n) * 2 + 0.5)
-        assert abs(wc.w1_cdf_distance(s) - wc.w_cost_empirical(s, cost)) <= 1e-12
+        assert abs(w1_cdf_distance(s) - wc.w_cost_empirical(s, cost)) <= 1e-12
 
 
 def test_w1_unit_step():
     s = wc.PairedSample(np.array([0.0]), np.array([1.0]))
-    assert wc.w1_cdf_distance(s) == pytest.approx(1.0)
+    assert w1_cdf_distance(s) == pytest.approx(1.0)
 
 
 def test_empirical_quantile_convention():
@@ -139,7 +172,7 @@ def test_quantile_process_comonotone_equal(gauss_equal_pair):
     pair = wc.equal_pair(wc.gaussian(), wc.comonotone())
     s = wc.sample_pairs(pair, 500, seed=2)
     grid = np.linspace(0.05, 0.95, 19)
-    beta = wc.quantile_process(s, pair, grid)
+    beta = quantile_process(s, pair, grid)
     assert np.array_equal(beta[:, 0], beta[:, 1])
 
 
@@ -151,14 +184,14 @@ def test_quantile_process_stratified_bound():
     s = wc.PairedSample(xs, xs.copy())
     pair = wc.equal_pair(dist)
     grid = np.linspace(0.02, 0.98, 97)
-    beta = wc.quantile_process(s, pair, grid)
+    beta = quantile_process(s, pair, grid)
     assert np.max(np.abs(beta)) <= math.sqrt(n) * (1.5 / n)
 
 
 def test_quantile_process_domain():
     s = wc.PairedSample(np.array([1.0, 2.0]), np.array([0.5, 1.5]))
     with pytest.raises(DomainError):
-        wc.quantile_process(s, wc.equal_pair(wc.gaussian()), np.array([0.0, 0.5]))
+        quantile_process(s, wc.equal_pair(wc.gaussian()), np.array([0.0, 0.5]))
 
 
 def test_paired_sample_validation():

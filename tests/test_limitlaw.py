@@ -5,12 +5,13 @@ import pytest
 from scipy import stats
 
 import wcontrast as wc
-from wcontrast import limitlaw
+from wcontrast import limitlaw, tails
 from wcontrast.distributions import bvn_cdf
 from wcontrast.errors import (HypothesisError, NumericalError, TruncationError,
                               ValidationError)
 from wcontrast.limitlaw import (bridge_cov_kernel, grid_mean_oracle_E,
                                 grid_mean_oracle_W2, iter_bridge_paths)
+from wcontrast.tails import quantile_rule
 
 
 @pytest.fixture(scope="module")
@@ -471,7 +472,7 @@ def test_sigma2_quadrature_matches_dense_kernel(case, bump_pair_comonotone, monk
         pair, cost = _shift_pair(wc.custom_coupling(_gauss_copula(0.5))), wc.power_cost(2)
     else:
         pair, cost = _sigma2_cases(bump_pair_comonotone)[case]
-    us, ws = limitlaw._composite_gl_nodes(1e-6)
+    us, ws = quantile_rule(1e-6, 1.0 - 1e-6, pair.partition.breaks)
     wv = limitlaw._weight_fn(pair, cost, us) * ws
     dense = float(wv @ bridge_cov_kernel(pair, us) @ wv)
     calls = []
@@ -479,6 +480,32 @@ def test_sigma2_quadrature_matches_dense_kernel(case, bump_pair_comonotone, monk
                         lambda *args: calls.append(1) or bridge_cov_kernel(*args))
     assert wc.sigma2_D(pair, cost, mc_m=511) == pytest.approx(dense, rel=1e-12, abs=0)
     assert len(calls) == (case == "custom")
+
+
+@pytest.mark.parametrize("case", ["independent", "pinball(0.3)", "rho=0.5", "rho=-0.7",
+                                  "rho=0.9", "comonotone bump", "comonotone bump p1"])
+def test_sigma2_quadrature_accuracy(case, bump_pair_comonotone, monkeypatch):
+    # against the same rule at a quarter of the panel width, whose error is
+    # 16 times smaller (the kernel's diagonal kink makes it O(width^2))
+    if case == "comonotone bump p1":
+        pair, cost = bump_pair_comonotone, wc.power_cost(1)
+    else:
+        pair, cost = _sigma2_cases(bump_pair_comonotone)[case]
+    val = wc.sigma2_D(pair, cost)
+    monkeypatch.setattr(tails, "_PANEL_WIDTH", tails._PANEL_WIDTH / 4.0)
+    ref = wc.sigma2_D(pair, cost)
+    assert abs(val - ref) <= (4e-4 if "bump" in case else 1e-4) * ref
+
+
+def test_sigma2_closed_form_independent(gauss_shift_pair):
+    # N(0,1) vs N(1,1), independent, power(2): the functional is
+    # 2 (int B dQ_X - int B dQ_Y) over [delta, 1 - delta], so sigma^2 is
+    # 8 Var(Z clipped to +-c), c = Phi^{-1}(1 - delta)
+    delta = 1e-6
+    c = stats.norm.isf(delta)
+    exact = 8.0 * (1.0 - 2.0 * delta - 2.0 * c * stats.norm.pdf(c) + 2.0 * c * c * delta)
+    assert wc.sigma2_D(gauss_shift_pair, wc.power_cost(2), delta=delta) == \
+        pytest.approx(exact, rel=1.2e-5)
 
 
 def test_sigma2_makes_no_draws(gauss_shift_pair, monkeypatch):

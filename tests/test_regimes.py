@@ -185,20 +185,31 @@ def test_no_dispatch_outside_the_regime_table(module):
     assert not found, f"{module} dispatches directly: {found}"
 
 
+def _names(path):
+    """Module-qualified imports, attribute names and called names of a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            yield node.func.id
+
+
 def test_one_root_finder():
     # monotone inverses go through tails.bisect_floats: no module imports
     # scipy.optimize or reaches for brentq
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            else:
-                continue
-            found += [f"{path.name}: {n}" for n in names
-                      if n.startswith("scipy.optimize") or n.endswith("brentq")]
+    found = [f"{path.name}: {n}" for path in sorted(SRC.glob("*.py")) for n in _names(path)
+             if n.startswith("scipy.optimize") or n.endswith("brentq")]
+    assert not found, found
+
+
+def test_one_quadrature_rule():
+    # integrals over (0, 1) go through tails.quantile_rule: no module imports
+    # scipy.integrate or calls quad, and only tails.py builds Gauss-Legendre nodes
+    found = [f"{path.name}: {n}" for path in sorted(SRC.glob("*.py")) for n in _names(path)
+             if n.startswith("scipy.integrate") or n.split(".")[-1] == "quad"
+             or (n.endswith("roots_legendre") and path.name != "tails.py")]
     assert not found, found
