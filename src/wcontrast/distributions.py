@@ -10,6 +10,15 @@ depth ``t`` stay evaluable far beyond where ``u = 1 - exp(-t)`` saturates
 in floating point. Built-in families override the generic root-finding
 fallbacks with closed forms where they exist.
 
+The built-in families (``gaussian``, ``exponential``, ``pareto``,
+``weibull``, ``beta_dist``, ``uniform``) are built from ``scipy.special``
+kernels with the formulas, loc/scale arithmetic and off-support values of
+the matching ``scipy.stats`` laws, so quantiles, c.d.f.s, log c.d.f.s and
+log s.f.s agree with them bit for bit (the beta density, exp of the log
+density, to about 1e-13) at a fraction of the call cost, and the package
+never imports ``scipy.stats``. ``dist_from_scipy`` adapts a frozen
+``scipy.stats`` law that a caller passes in.
+
 ``PairSpec`` couples two marginals through a copula and carries the
 user-declared partition of (0,1) into intervals where the quantile
 functions agree (label ``E``) or differ (label ``D``); the partition is
@@ -19,12 +28,12 @@ verified numerically at construction, never inferred.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import stats
-from scipy.special import betaln, hyp2f1, ndtr, ndtri_exp, owens_t
+from scipy.special import (betainc, betaincc, betaincinv, betaln, expm1, hyp2f1, log1p,
+                           log_ndtr, ndtr, ndtri, ndtri_exp, owens_t, xlog1py, xlogy)
 
 from .errors import DomainError, ValidationError
 from .seeding import derive_rng
@@ -181,10 +190,10 @@ def _invert_log_tail(dist: DistSpec, side: str, ts: np.ndarray) -> np.ndarray:
     return sign * x
 
 
-def _roundtrip_guard(frozen):
+def _roundtrip_guard(quantile):
     # probe parameters early so bad families fail at construction
     us = np.array([1e-6, 0.1, 0.5, 0.9, 1 - 1e-6])
-    xs = frozen.ppf(us)
+    xs = quantile(us)
     if not np.all(np.isfinite(xs)):
         raise ValidationError("distribution parameters give non-finite quantiles")
 
@@ -192,8 +201,10 @@ def _roundtrip_guard(frozen):
 def dist_from_scipy(name: str, frozen, *, density_quantile=None, params=None,
                     tail_quantile_fn=None, log_tail_magnitude_fn=None,
                     log_density_at_depth_fn=None) -> DistSpec:
+    """Adapter for a frozen ``scipy.stats`` law supplied by the caller (the
+    built-in families below are built from ``scipy.special`` directly)."""
     lo, hi = frozen.support()
-    _roundtrip_guard(frozen)
+    _roundtrip_guard(frozen.ppf)
     if density_quantile is None:
         def density_quantile(u, _f=frozen):
             return _f.pdf(_f.ppf(np.asarray(u, dtype=float)))
@@ -214,10 +225,110 @@ def dist_from_scipy(name: str, frozen, *, density_quantile=None, params=None,
     )
 
 
+# ---------------------------------------------------------------------------
+# built-in families: scipy.stats' formulas and masks, without scipy.stats
+# ---------------------------------------------------------------------------
+
+def _on_support(fn, z, inside, shapes, fill, edges=()):
+    """``fn`` at the standardized points ``inside`` the support, the rest
+    ``fill`` (nan at nan points) apart from the ``(mask, value)`` edges.
+
+    The shape parameters reach ``fn`` as ``scipy.stats`` hands them over:
+    broadcast to the points when every point is inside, one-element arrays
+    otherwise. The two differ by an ulp for exponents 2, 0.5 and -1, where
+    numpy's ``power`` takes its square, square-root and reciprocal short cuts
+    for a one-element exponent only. A 0-d input gives a numpy scalar.
+    """
+    if inside.all():
+        out = np.asarray(fn(z.ravel(), *(np.full(z.size, s) for s in shapes)))
+        out = out.reshape(z.shape)
+    else:
+        out = np.full(z.shape, fill)
+        out[np.isnan(z)] = np.nan
+        for mask, value in edges:
+            out[mask] = value
+        if inside.any():
+            out[inside] = fn(z[inside], *(np.array([s]) for s in shapes))
+    return out[()] if out.ndim == 0 else out
+
+
+def _median_split(below, near, far):
+    """scipy's log c.d.f. (or log s.f.) for a family without one: ``near`` at
+    the points where ``below(z)`` (log of the c.d.f. below the median),
+    ``far`` at the rest (log1p of minus the s.f.), with the shapes broadcast
+    to the points of each branch."""
+    def fn(z, *shapes):
+        shapes = [np.broadcast_to(s, z.shape) for s in shapes]
+        out = np.empty_like(z)
+        m = below(z)
+        with np.errstate(divide="ignore"):
+            out[m] = near(z[m], *(s[m] for s in shapes))
+            out[~m] = far(z[~m], *(s[~m] for s in shapes))
+        return out
+    return fn
+
+
+def _scaled_law(name: str, params: dict, support: tuple, loc: float, scale: float,
+                shapes: tuple, *, cdf, log_cdf, log_sf, ppf, pdf, log_pdf,
+                density_quantile=None, **hooks) -> DistSpec:
+    """The law of ``loc + scale * Z`` from standardized formulas of ``Z``
+    on its support ``(a, b)``, with ``scipy.stats``' loc/scale arithmetic
+    and values off the support: c.d.f. 0 below and 1 above, log c.d.f. and
+    log s.f. -inf and 0, density 0, quantile nan outside [0, 1]."""
+    a, b = support
+    log_scale = np.log(scale)
+
+    def standard(x):
+        return np.asarray((np.asarray(x, dtype=float) - loc) / scale)
+
+    def open_(z):
+        return (a < z) & (z < b)
+
+    def cdf_(x):
+        z = standard(x)
+        return _on_support(cdf, z, open_(z), shapes, 0.0, [(z >= b, 1.0)])
+
+    def log_cdf_(x):
+        z = standard(x)
+        return _on_support(log_cdf, z, open_(z), shapes, -np.inf, [(z >= b, 0.0)])
+
+    def log_sf_(x):
+        z = standard(x)
+        return _on_support(log_sf, z, open_(z), shapes, -np.inf, [(z <= a, 0.0)])
+
+    def density(x):
+        z = standard(x)
+        return _on_support(lambda z, *s: pdf(z, *s) / scale, z, (a <= z) & (z <= b),
+                           shapes, 0.0)
+
+    def log_density(x):
+        z = standard(x)
+        return _on_support(lambda z, *s: log_pdf(z, *s) - log_scale, z,
+                           (a <= z) & (z <= b), shapes, -np.inf)
+
+    def quantile(u):
+        q = np.asarray(u, dtype=float)
+        return _on_support(lambda q, *s: ppf(q, *s) * scale + loc, q, (0 < q) & (q < 1),
+                           shapes, np.nan, [(q == 0, a * scale + loc), (q == 1, b * scale + loc)])
+
+    if density_quantile is None:
+        def density_quantile(u):
+            return density(quantile(u))
+    _roundtrip_guard(quantile)
+    return DistSpec(name=name, cdf=cdf_, quantile=quantile, density=density,
+                    density_quantile=density_quantile, log_density=log_density,
+                    log_cdf=log_cdf_, log_sf=log_sf_,
+                    support=(float(a * scale + loc), float(b * scale + loc)),
+                    params=params, **hooks)
+
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+_LOG_SQRT_2PI = np.log(_SQRT_2PI)
+
+
 def gaussian(loc: float = 0.0, scale: float = 1.0) -> DistSpec:
     if scale <= 0:
         raise ValidationError(f"gaussian requires scale > 0; got {scale}")
-    frozen = stats.norm(loc, scale)
     log_norm = 0.5 * math.log(2.0 * math.pi) + math.log(scale)
 
     def depth_z(t):
@@ -227,9 +338,12 @@ def gaussian(loc: float = 0.0, scale: float = 1.0) -> DistSpec:
     def log_f(t):
         return -0.5 * depth_z(t) ** 2 - log_norm
 
-    return dist_from_scipy(
-        f"gaussian({loc:g},{scale:g})", frozen,
-        params={"family": "gaussian", "loc": loc, "scale": scale},
+    return _scaled_law(
+        f"gaussian({loc:g},{scale:g})",
+        {"family": "gaussian", "loc": loc, "scale": scale}, (-np.inf, np.inf), loc, scale, (),
+        cdf=ndtr, log_cdf=log_ndtr, log_sf=lambda z: log_ndtr(-z), ppf=ndtri,
+        pdf=lambda z: np.exp(-z**2 / 2.0) / _SQRT_2PI,
+        log_pdf=lambda z: -z**2 / 2.0 - _LOG_SQRT_2PI,
         tail_quantile_fn={RIGHT: lambda t: loc + scale * depth_z(t),
                           LEFT: lambda t: loc - scale * depth_z(t)},
         log_density_at_depth_fn={RIGHT: log_f, LEFT: log_f},
@@ -239,10 +353,14 @@ def gaussian(loc: float = 0.0, scale: float = 1.0) -> DistSpec:
 def exponential(scale: float = 1.0) -> DistSpec:
     if scale <= 0:
         raise ValidationError(f"exponential requires scale > 0; got {scale}")
-    frozen = stats.expon(scale=scale)
-    return dist_from_scipy(
-        f"exponential({scale:g})", frozen,
-        params={"family": "exponential", "scale": scale},
+    median = -log1p(-0.5)
+    return _scaled_law(
+        f"exponential({scale:g})", {"family": "exponential", "scale": scale},
+        (0.0, np.inf), 0.0, scale, (),
+        cdf=lambda z: -expm1(-z), ppf=lambda q: -log1p(-q),
+        log_cdf=_median_split(lambda z: z < median, lambda z: np.log(-expm1(-z)),
+                              lambda z: np.log1p(-np.exp(-z))),
+        log_sf=lambda z: -z, pdf=lambda z: np.exp(-z), log_pdf=lambda z: -z,
         tail_quantile_fn={RIGHT: lambda t: scale * np.asarray(t, dtype=float)},
     )
 
@@ -251,8 +369,8 @@ def pareto(index: float, scale: float = 1.0) -> DistSpec:
     """Pareto with survival (x/scale)^(-index) on [scale, inf); psi(x) ~ index*log x."""
     if index <= 0 or scale <= 0:
         raise ValidationError(f"pareto requires index > 0 and scale > 0; got ({index}, {scale})")
-    frozen = stats.pareto(b=index, scale=scale)
     log_scale = math.log(scale)
+    median = pow(1 - 0.5, -1.0 / index)
 
     def tail_q(t):
         t = np.asarray(t, dtype=float)
@@ -267,9 +385,19 @@ def pareto(index: float, scale: float = 1.0) -> DistSpec:
         t = np.asarray(t, dtype=float)
         return math.log(index / scale) - (index + 1.0) * t / index
 
-    return dist_from_scipy(
-        f"pareto({index:g})", frozen,
-        params={"family": "pareto", "index": index, "scale": scale},
+    def log_pdf(z, b):
+        with np.errstate(divide="ignore"):
+            return np.log(b * z**(-b - 1))
+
+    return _scaled_law(
+        f"pareto({index:g})", {"family": "pareto", "index": index, "scale": scale},
+        (1.0, np.inf), 0.0, scale, (float(index),),
+        cdf=lambda z, b: 1 - z**(-b), ppf=lambda q, b: pow(1 - q, -1.0 / b),
+        log_cdf=_median_split(lambda z: z < median, lambda z, b: np.log(1 - z**(-b)),
+                              lambda z, b: np.log1p(-(z**(-b)))),
+        log_sf=_median_split(lambda z: z > median, lambda z, b: np.log(z**(-b)),
+                             lambda z, b: np.log1p(-(1 - z**(-b)))),
+        pdf=lambda z, b: b * z**(-b - 1), log_pdf=log_pdf,
         tail_quantile_fn={RIGHT: tail_q},
         log_tail_magnitude_fn={RIGHT: log_mag},
         log_density_at_depth_fn={RIGHT: log_f},
@@ -280,8 +408,8 @@ def weibull(shape: float, scale: float = 1.0) -> DistSpec:
     """Weibull with psi(x) = (x/scale)^shape; light tails for shape >= 1."""
     if shape <= 0 or scale <= 0:
         raise ValidationError(f"weibull requires shape > 0 and scale > 0; got ({shape}, {scale})")
-    frozen = stats.weibull_min(c=shape, scale=scale)
     w = float(shape)
+    median = pow(-log1p(-0.5), 1.0 / w)
 
     def density_quantile(u):
         # closed form h(u) = (w/scale) (1-u) log(1/(1-u))^(1-1/w)
@@ -297,28 +425,59 @@ def weibull(shape: float, scale: float = 1.0) -> DistSpec:
         t = np.asarray(t, dtype=float)
         return math.log(w / scale) + (1.0 - 1.0 / w) * np.log(t) - t
 
-    return dist_from_scipy(
-        f"weibull({shape:g})", frozen,
+    return _scaled_law(
+        f"weibull({shape:g})", {"family": "weibull", "shape": shape, "scale": scale},
+        (0.0, np.inf), 0.0, scale, (w,),
+        cdf=lambda z, c: -expm1(-pow(z, c)), ppf=lambda q, c: pow(-log1p(-q), 1.0 / c),
+        log_cdf=_median_split(lambda z: z < median, lambda z, c: np.log(-expm1(-pow(z, c))),
+                              lambda z, c: np.log1p(-np.exp(-pow(z, c)))),
+        log_sf=lambda z, c: -pow(z, c),
+        pdf=lambda z, c: c * pow(z, c - 1) * np.exp(-pow(z, c)),
+        log_pdf=lambda z, c: np.log(c) + xlogy(c - 1, z) - pow(z, c),
         density_quantile=density_quantile,
-        params={"family": "weibull", "shape": shape, "scale": scale},
         tail_quantile_fn={RIGHT: tail_q},
         log_density_at_depth_fn={RIGHT: log_f},
     )
 
 
-def _beta_left_log_density(a: float, b: float) -> Callable:
-    """log f of Beta(a, b) at left tail depth t, evaluated in log space.
+def _beta_law(a: float, b: float) -> DistSpec:
+    """Beta(a, b) from the incomplete beta function, without tail hooks. The
+    density is exp of the log density (scipy's own density kernel agrees to
+    about 1e-13 relative)."""
+    median = betaincinv(a, b, 0.5)
 
-    log x comes from the generic inversion where that is exact. Past
-    t = 600, where scipy's log c.d.f. starts to lose digits near underflow
-    (from t = 685 on Beta(20, 3)), or below x = 1e-30, it solves
-    F(x) = x^a (1-x)^b 2F1(a+b, 1; a+1; x) / (a B(a, b)) = e^-t in log x by
+    def log_pdf(z, a, b):
+        return xlog1py(b - 1.0, -z) + xlogy(a - 1.0, z) - betaln(a, b)
+
+    def pdf(z, a, b):
+        with np.errstate(over="ignore"):
+            return np.exp(log_pdf(z, a, b))
+
+    return _scaled_law(
+        f"beta({a:g},{b:g})", {"family": "beta", "a": a, "b": b},
+        (0.0, 1.0), 0.0, 1.0, (float(a), float(b)),
+        cdf=lambda z, a, b: betainc(a, b, z), ppf=lambda q, a, b: betaincinv(a, b, q),
+        log_cdf=_median_split(lambda z: z < median, lambda z, a, b: np.log(betainc(a, b, z)),
+                              lambda z, a, b: np.log1p(-betaincc(a, b, z))),
+        log_sf=_median_split(lambda z: z > median, lambda z, a, b: np.log(betaincc(a, b, z)),
+                             lambda z, a, b: np.log1p(-betainc(a, b, z))),
+        pdf=pdf, log_pdf=log_pdf,
+    )
+
+
+def _beta_left_tail(law: DistSpec):
+    """Position and log density of Beta(a, b) at left tail depth t.
+
+    Up to t = 600 the position is the generic inversion, exact to one ulp.
+    Beyond it, and for the log density below x = 1e-30, log x solves
+    F(x) = x^a (1-x)^b 2F1(a+b, 1; a+1; x) / (a B(a, b)) = e^-t by
     bisection; where the O((a+b) x) factors beside x^a are 1 to rounding,
-    that is the leading term log x = (log(a B(a, b)) - t) / a. So the
-    result stays exact, and finite where x itself underflows (as it does
-    for a < 1).
+    that is the leading term log x = (log(a B(a, b)) - t) / a. So both stay
+    exact at depths where the log c.d.f. underflows (from t = 706 on
+    Beta(2, 2)), and the log density stays finite where x itself underflows
+    (as it does for a < 1).
     """
-    law = dist_from_scipy(f"beta({a:g},{b:g})", stats.beta(a, b))
+    a, b = law.params["a"], law.params["b"]
     log_beta = betaln(a, b)
     log_a_beta = math.log(a) + log_beta
 
@@ -331,38 +490,62 @@ def _beta_left_log_density(a: float, b: float) -> Callable:
 
         return bisect_floats(reached, -np.inf, 0.0)
 
+    def depth(t, exact):
+        # (x, log x) at depths t, from the generic inversion where exact
+        log_x = np.array((log_a_beta - t) / a)
+        x = np.array(np.exp(log_x))
+        x[exact] = law.tail_quantile(LEFT, t[exact])
+        log_x[exact] = np.log(x[exact])
+        solve = ~exact & ((a + b) * x > 1e-17)
+        log_x[solve] = solve_log_x(t[solve])
+        x[~exact] = np.exp(log_x[~exact])
+        return x, log_x
+
+    def position(t):
+        t = np.asarray(t, dtype=float)
+        return depth(t, t <= 600.0)[0]
+
     def log_f(t):
         t = np.asarray(t, dtype=float)
-        log_x = np.array((log_a_beta - t) / a)
-        exact = (t <= 600.0) & (log_x >= math.log(1e-30))
-        log_x[exact] = np.log(law.tail_quantile(LEFT, t[exact]))
-        solve = ~exact & ((a + b) * np.exp(log_x) > 1e-17)
-        log_x[solve] = solve_log_x(t[solve])
+        exact = (t <= 600.0) & ((log_a_beta - t) / a >= math.log(1e-30))
+        log_x = depth(t, exact)[1]
         return (a - 1.0) * log_x + (b - 1.0) * np.log1p(-np.exp(log_x)) - log_beta
 
-    return log_f
+    return position, log_f
 
 
 def beta_dist(a: float, b: float) -> DistSpec:
+    """Beta(a, b) on [0, 1], with closed tail hooks on both sides.
+
+    The right tail is Beta(b, a)'s left tail, as f_{a,b}(1 - y) = f_{b,a}(y):
+    the right position is 1 - y, and its log magnitude log1p(-y). Past about
+    t = 72 on Beta(2, 2) that position rounds to 1.0, as any double near 1
+    must; the log magnitude and the log density keep every digit.
+    """
     if a <= 0 or b <= 0:
         raise ValidationError(f"beta requires a, b > 0; got ({a}, {b})")
-    frozen = stats.beta(a, b)
-    # f_{a,b}(1 - y) = f_{b,a}(y): the right tail is Beta(b, a)'s left tail
-    return dist_from_scipy(
-        f"beta({a:g},{b:g})", frozen,
-        params={"family": "beta", "a": a, "b": b},
-        log_density_at_depth_fn={LEFT: _beta_left_log_density(a, b),
-                                 RIGHT: _beta_left_log_density(b, a)},
+    law = _beta_law(a, b)
+    left_position, left_log_f = _beta_left_tail(law)
+    mirror_position, right_log_f = _beta_left_tail(_beta_law(b, a))
+    return replace(
+        law,
+        tail_quantile_fn={LEFT: left_position,
+                          RIGHT: lambda t: 1.0 - mirror_position(t)},
+        log_tail_magnitude_fn={RIGHT: lambda t: np.log1p(-mirror_position(t))},
+        log_density_at_depth_fn={LEFT: left_log_f, RIGHT: right_log_f},
     )
 
 
 def uniform(lo: float = 0.0, hi: float = 1.0) -> DistSpec:
     if not hi > lo:
         raise ValidationError(f"uniform requires hi > lo; got ({lo}, {hi})")
-    frozen = stats.uniform(loc=lo, scale=hi - lo)
-    return dist_from_scipy(
-        f"uniform({lo:g},{hi:g})", frozen,
-        params={"family": "uniform", "lo": lo, "hi": hi},
+    return _scaled_law(
+        f"uniform({lo:g},{hi:g})", {"family": "uniform", "lo": lo, "hi": hi},
+        (0.0, 1.0), lo, hi - lo, (),
+        cdf=lambda z: z, ppf=lambda q: q,
+        log_cdf=_median_split(lambda z: z < 0.5, np.log, lambda z: np.log1p(-(1.0 - z))),
+        log_sf=_median_split(lambda z: z > 0.5, lambda z: np.log(1.0 - z), lambda z: np.log1p(-z)),
+        pdf=lambda z: 1.0 * (z == z), log_pdf=lambda z: np.log(1.0 * (z == z)),
     )
 
 
@@ -622,7 +805,7 @@ class CouplingSpec:
         if self.kind == "comonotone":
             return np.minimum(u, v)
         if self.kind == "gaussian":
-            return bvn_cdf(stats.norm.ppf(u), stats.norm.ppf(v), self.rho)
+            return bvn_cdf(ndtri(u), ndtri(v), self.rho)
         return np.asarray(self.copula_fn(u, v), dtype=float)
 
     def sample_uv(self, n: int, rng: np.random.Generator):
@@ -636,7 +819,7 @@ class CouplingSpec:
         if self.kind == "gaussian":
             z1 = rng.standard_normal(n)
             z2 = self.rho * z1 + math.sqrt(1.0 - self.rho ** 2) * rng.standard_normal(n)
-            return stats.norm.cdf(z1), stats.norm.cdf(z2)
+            return ndtr(z1), ndtr(z2)
         return _sample_custom_copula(self.copula_fn, n, rng)
 
 

@@ -13,11 +13,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit, logit
 
 from .costs import CostSpec, evaluate
 from .distributions import PairSpec
 from .errors import IntegrabilityError, ValidationError
-from .tails import CONVERGENT, DIVERGENT, assess_tail, quantile_rule
+from .tails import (CONVERGENT, DIVERGENT, GL16, assess_tail, bisect_floats, kink_rule,
+                    logit_nodes, logit_panels, quantile_rule)
 
 __all__ = [
     "PairedSample",
@@ -89,10 +91,49 @@ def w_cost_empirical(sample: PairedSample, cost: CostSpec) -> float:
     return total
 
 
+def _d_interval_cost(pair: PairSpec, cost: CostSpec, a: float, b: float) -> float:
+    """int_a^b rho_c(tau(u)) du by ``tails.quantile_rule``.
+
+    Where tau changes sign between two nodes, its root (the first double at
+    which tau leaves its sign, by ``bisect_floats``) becomes a break, and
+    the panel on either side of it takes the Gauss-Jacobi rule
+    (``tails.kink_rule``) for the power b_minus or b_plus of the cost's
+    branch there, which integrates the |tau|^b corner to rounding. A break
+    halfway (in logit u) between two roots keeps each panel beside one root.
+    """
+    us, ws = quantile_rule(a, b)
+    tau = np.asarray(pair.tau(us), dtype=float)
+    nz = np.flatnonzero(tau)
+    flip = np.flatnonzero(np.sign(tau[nz[:-1]]) != np.sign(tau[nz[1:]]))
+    if flip.size == 0:
+        return float(ws @ np.asarray(evaluate(cost, tau), dtype=float))
+    before, after = nz[flip], nz[flip + 1]
+    sign_before, sign_after = np.sign(tau[before]), np.sign(tau[after])
+    roots = bisect_floats(lambda u: np.sign(pair.tau(u)) != sign_before,
+                          us[before], us[after])
+    mids = expit(0.5 * (logit(roots[:-1]) + logit(roots[1:])))
+    ends, _ = logit_panels(a, b, np.sort(np.concatenate([roots, mids])))
+    at = np.searchsorted(ends, logit(roots))     # ends[at] is the root
+    corner = np.zeros(len(ends) - 1, dtype=bool)
+    corner[at - 1] = corner[at] = True
+    groups = [(ends[:-1][~corner], ends[1:][~corner]) + GL16]
+    for panels, sign, orient in ((at - 1, sign_before, -1.0), (at, sign_after, 1.0)):
+        for power, negative in ((cost.b_minus, True), (cost.b_plus, False)):
+            sel = panels[(sign < 0) == negative]
+            if sel.size:
+                nodes, weights = kink_rule(power)
+                groups.append((ends[sel], ends[sel + 1], orient * nodes, weights))
+    rules = [logit_nodes(lo, hi, nodes, weights) for lo, hi, nodes, weights in groups]
+    u = np.concatenate([u.ravel() for u, _ in rules])
+    w = np.concatenate([w.ravel() for _, w in rules])
+    return float(w @ np.asarray(evaluate(cost, pair.tau(u)), dtype=float))
+
+
 def w_cost_population(pair: PairSpec, cost: CostSpec) -> PopulationCost:
     """Population contrast: ``tails.quantile_rule`` on each D interval
-    clipped to [delta, 1 - delta] (delta = 1e-8) of rho_c(tau(u)), plus a
-    tail-decay bound for the clipped mass.
+    clipped to [delta, 1 - delta] (delta = 1e-8) of rho_c(tau(u)), split
+    where tau changes sign (``_d_interval_cost``), plus a tail-decay bound
+    for the clipped mass.
 
     Intervals declared ``E`` contribute exactly zero. The tail bound is an
     exponent-extrapolated estimate of the discarded integral; if a tail
@@ -102,8 +143,7 @@ def w_cost_population(pair: PairSpec, cost: CostSpec) -> PopulationCost:
     for lo, hi, _ in pair.partition.intervals("D"):
         a, b = max(lo, _DELTA), min(hi, 1.0 - _DELTA)
         if a < b:
-            us, ws = quantile_rule(a, b)
-            value += float(ws @ np.asarray(evaluate(cost, pair.tau(us)), dtype=float))
+            value += _d_interval_cost(pair, cost, a, b)
 
     tail_bound = 0.0
     t0 = -math.log(_DELTA)

@@ -14,12 +14,11 @@ pass raises HypothesisError unless ``override_checks`` turns it into a note.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import expit, logit, roots_jacobi
+from scipy.special import expit, logit
 
 from .costs import CostSpec
 from .distributions import DistSpec, PairSpec, equal_pair
@@ -27,7 +26,7 @@ from .errors import ValidationError
 from .estimator import PairedSample, w_cost_empirical
 from .limitlaw import (DEFAULT_GRID, THEOREM_GAUSSIAN, THEOREM_ONE_SAMPLE,
                        LimitDraws, Regime, select_regime, sigma2_D)
-from .tails import GL16, logit_nodes, logit_panels
+from .tails import GL16, kink_rule, logit_nodes, logit_panels
 
 __all__ = [
     "TestResult",
@@ -156,7 +155,7 @@ def wp_distance_to_dist(xs: np.ndarray, null_dist: DistSpec, p: float) -> float:
     if kinked.any():
         lo_k, hi_k, x_k = lo[kinked], hi[kinked], obs[kinked]
         s_star = np.clip(logit(np.asarray(null_dist.cdf(x_k), dtype=float)), lo_k, hi_k)
-        j_nodes, j_weights = _kink_rule(p)
+        j_nodes, j_weights = kink_rule(p)
         groups.append((lo_k, s_star, x_k, -j_nodes, j_weights))
         groups.append((s_star, hi_k, x_k, j_nodes, j_weights))
 
@@ -169,16 +168,6 @@ def wp_distance_to_dist(xs: np.ndarray, null_dist: DistSpec, p: float) -> float:
         start += u.size
         total += float(np.sum(np.abs(x[:, None] - q) ** p * w))
     return total
-
-
-@functools.lru_cache(maxsize=8)
-def _kink_rule(p: float):
-    """16-node Gauss-Jacobi rule for int_{-1}^{1} (1 + t)^p g(t) dt, with the
-    weights divided by (1 + t_j)^p so it applies to the plain integrand."""
-    nodes, weights = roots_jacobi(16, 0.0, p)
-    weights = weights / (1.0 + nodes) ** p
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 def gof_test(xs, null_dist: DistSpec, p: float = 1.0,

@@ -15,16 +15,19 @@ the integrand becomes ``g(t) = s * phi(s)`` and
 The integral routines take ``log_g``: a vectorized callable of the depth
 ``t`` returning ``log g(t)`` (``-inf`` allowed). ``bisect_floats`` is the
 package's one inverse of monotone functions (tail positions, the log-cost),
-and ``quantile_rule`` its one quadrature rule for integrals over (0, 1).
+and ``quantile_rule`` its one quadrature rule for integrals over (0, 1);
+``kink_rule`` replaces its Gauss-Legendre nodes on a panel that ends at a
+power-law corner of the integrand.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logit, roots_legendre
+from scipy.special import logit, roots_jacobi, roots_legendre
 
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
@@ -194,6 +197,18 @@ def quantile_rule(lo: float, hi: float, breaks=()):
     ends, _ = logit_panels(lo, hi, breaks)
     u, w = logit_nodes(ends[:-1], ends[1:], *GL16)
     return u.ravel(), w.ravel()
+
+
+@functools.lru_cache(maxsize=8)
+def kink_rule(p: float):
+    """16-node Gauss-Jacobi rule for int_{-1}^{1} (1 + t)^p g(t) dt, with the
+    weights divided by (1 + t_j)^p so it applies to the plain integrand: it
+    integrates a |s - s*|^p corner at the left end of a panel to rounding
+    (negate the nodes for a corner at the right end)."""
+    nodes, weights = roots_jacobi(16, 0.0, p)
+    weights = weights / (1.0 + nodes) ** p
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def stabilized_running_max(values: np.ndarray, depth: np.ndarray, rel_tol: float = 0.01):

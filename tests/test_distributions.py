@@ -387,3 +387,100 @@ def test_builtin_dist_registry_and_validation():
         wc.builtin_dist("pareto", index=-1)
     with pytest.raises(ValidationError, match="unknown distribution family"):
         wc.builtin_dist("cauchyish")
+
+
+# each built-in family at two parameter sets against the frozen scipy.stats
+# law it reproduces; weibull(2) and pareto(1) hit numpy's square, square-root
+# and reciprocal short cuts in power, beta(0.5, 3) a density infinite at 0
+ORACLES = [
+    (wc.gaussian(), stats.norm()),
+    (wc.gaussian(1.5, 0.3), stats.norm(1.5, 0.3)),
+    (wc.exponential(), stats.expon()),
+    (wc.exponential(2.5), stats.expon(scale=2.5)),
+    (wc.pareto(3.0), stats.pareto(3.0)),
+    (wc.pareto(1.0, 2.0), stats.pareto(1.0, scale=2.0)),
+    (wc.weibull(3.0), stats.weibull_min(3.0)),
+    (wc.weibull(2.0, 1.7), stats.weibull_min(2.0, scale=1.7)),
+    (wc.beta_dist(2, 2), stats.beta(2, 2)),
+    (wc.beta_dist(0.5, 3), stats.beta(0.5, 3)),
+    (wc.uniform(), stats.uniform()),
+    (wc.uniform(-1.0, 2.5), stats.uniform(-1.0, 3.5)),
+]
+EXACT = (("quantile", "ppf"), ("cdf", "cdf"), ("log_cdf", "logcdf"), ("log_sf", "logsf"))
+CLOSE = (("density", "pdf"), ("log_density", "logpdf"))
+
+
+def _oracle_points(frozen, rng):
+    """10^4 probabilities and 10^4 positions: inside the support, at its
+    edges, outside it, +-inf and nan."""
+    lo, hi = frozen.support()
+    probs = np.concatenate([rng.random(9990), [0.0, 1.0, -0.1, 1.1, 0.5, 1e-300,
+                                                1 - 1e-16, -np.inf, np.inf, np.nan]])
+    middle, spread = frozen.median(), frozen.ppf(0.9) - frozen.ppf(0.1)
+    xs = np.concatenate([frozen.ppf(rng.random(7000)),
+                         middle + 3.0 * spread * rng.standard_normal(2993),
+                         [lo, hi, middle, -np.inf, np.inf, np.nan, 1e300]])
+    return probs, xs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # both sides overflow at +-inf
+@pytest.mark.parametrize("dist,frozen", ORACLES, ids=[d.name for d, _ in ORACLES])
+def test_builtin_families_match_scipy_stats(dist, frozen):
+    rng = np.random.default_rng(12)
+    probs, xs = _oracle_points(frozen, rng)
+    # every point inside the support, and a mix: scipy passes the shapes
+    # to its formulas differently in the two cases
+    inside = frozen.ppf(rng.random(10_000))
+    for mine, theirs in EXACT:
+        for pts in ((probs, rng.random(10_000)) if mine == "quantile" else (xs, inside)):
+            got, want = getattr(dist, mine)(pts), getattr(frozen, theirs)(pts)
+            assert np.array_equal(got, want, equal_nan=True), mine
+    # scipy's beta density raises where it is infinite (x = 0 for a < 1)
+    infinite_at_0 = frozen.dist.name == "beta" and frozen.args[0] < 1
+    finite = xs[xs != 0.0] if infinite_at_0 else xs
+    for mine, theirs in CLOSE:
+        for pts in (finite, inside):
+            got, want = getattr(dist, mine)(pts), getattr(frozen, theirs)(pts)
+            assert np.allclose(got, want, rtol=1e-12, atol=0, equal_nan=True), mine
+    h = dist.density_quantile(probs[np.isfinite(probs) & (probs > 0) & (probs < 1)])
+    ref = frozen.pdf(frozen.ppf(probs[np.isfinite(probs) & (probs > 0) & (probs < 1)]))
+    assert np.allclose(h, ref, rtol=1e-12, atol=0)
+    if infinite_at_0:
+        assert dist.density(0.0) == np.inf
+    for mine, theirs in EXACT + CLOSE:
+        point = 0.3 if mine == "quantile" else float(frozen.ppf(0.3))
+        got = getattr(dist, mine)(point)
+        assert np.ndim(got) == 0 and isinstance(got, np.floating), mine
+        assert got == pytest.approx(getattr(frozen, theirs)(point), rel=1e-12, abs=0), mine
+    assert dist.support == tuple(frozen.support())
+
+
+def _beta22_left_position(t):
+    # x^2 (3 - 2x) = e^-t in log space: log x = (-t - log 3 - log1p(-2x/3)) / 2
+    log_x = (-t - math.log(3.0)) / 2
+    for _ in range(3):
+        log_x = (-t - math.log(3.0) - math.log1p(-2.0 * math.exp(log_x) / 3.0)) / 2
+    return math.exp(log_x)
+
+
+def test_beta_tail_positions_at_every_depth():
+    # the generic inversion stuck at 6.09e-155 past t = 706, where the log
+    # c.d.f. underflows; the hook solves F(x) = e^-t in log x beyond t = 600
+    dist = wc.beta_dist(2, 2)
+    deep = np.array([700.0, 745.0, 1000.0])
+    expected = np.array([_beta22_left_position(t) for t in deep])
+    left = dist.tail_quantile("-", deep)
+    assert np.allclose(left, expected, rtol=1e-12, atol=0)
+    assert np.all(np.diff(left) < 0)
+    # up to t = 600 the positions are the generic inversion's
+    generic = dist_from_scipy("beta(2,2)", stats.beta(2, 2))
+    assert np.array_equal(dist.tail_quantile("-", TAIL_DEPTHS),
+                          generic.tail_quantile("-", TAIL_DEPTHS))
+    # the right side is 1 - y from the mirror law Beta(2, 2)'s left side: the
+    # position rounds to 1 past t = 72, its log magnitude keeps every digit
+    both = np.concatenate([TAIL_DEPTHS, deep])
+    y = dist.tail_quantile("-", both)
+    assert np.array_equal(dist.tail_quantile("+", both), 1.0 - y)
+    assert np.array_equal(dist.log_tail_magnitude("+", both), np.log1p(-y))
+    assert float(dist.log_tail_magnitude("+", 1000.0)) == pytest.approx(
+        -_beta22_left_position(1000.0), rel=1e-12, abs=0)

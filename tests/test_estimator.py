@@ -137,6 +137,22 @@ def test_population_cost_scale_second_moment():
         assert val == pytest.approx(exact, rel=1e-12, abs=0)
 
 
+def test_population_cost_splits_where_tau_changes_sign():
+    # N(0,1) vs N(0,2): tau = -z(u) crosses 0 at u = 1/2, where |tau|^1.5
+    # has a corner; Gauss-Jacobi halves there integrate it to rounding
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+
+    def integrand(u):
+        return abs(mpmath.sqrt(2) * mpmath.erfinv(2 * u - 1)) ** mpmath.mpf(1.5)
+
+    lo, half = mpmath.mpf(POP_DELTA), mpmath.mpf(1) / 2
+    exact = float(mpmath.quad(integrand, [lo, half]) + mpmath.quad(integrand, [half, 1 - lo]))
+    pair = wc.make_pair(wc.gaussian(0, 1), wc.gaussian(0, 2))
+    val = wc.w_cost_population(pair, wc.power_cost(1.5)).value
+    assert val == pytest.approx(exact, rel=1e-13, abs=0)
+
+
 def test_population_cost_integrability_error():
     # Pareto index 2 has infinite variance: the tail integral diverges
     pair = wc.make_pair(wc.pareto(2.0), wc.pareto(2.0, scale=3.0))

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import wcontrast as wc
 from wcontrast.errors import ValidationError
-from wcontrast.harness import ExperimentConfig, load_config, run_clt_study
+from wcontrast.harness import ExperimentConfig, ks_2samp, load_config, run_clt_study
 
 
 def small_config(pair, cost, theorem, seed=314, **kw):
@@ -37,6 +38,33 @@ def test_degenerate_comonotone_study():
     assert np.all(res.statistics == 0.0)
     assert np.all(res.draws.values == 0.0)
     assert res.ks_distance == 0.0
+
+
+def _ks_cases():
+    rng = np.random.default_rng(8)
+    yield rng.standard_normal(150), rng.standard_normal(2000)       # a study's sizes
+    yield rng.standard_normal(300), 0.3 + rng.standard_normal(300)
+    yield np.round(rng.standard_normal(500)), np.round(rng.standard_normal(70))  # ties
+    yield rng.integers(0, 4, 41).astype(float), rng.integers(1, 5, 1000).astype(float)
+    yield rng.standard_normal(12_000), rng.standard_normal(300)     # past scipy's exact sizes
+    yield np.array([2.0]), np.array([-1.0, 3.0])
+    yield np.zeros(60), np.zeros(300)                              # the degenerate study
+    yield np.zeros(60), np.ones(300)
+    yield np.zeros(12_000), np.zeros(5)
+
+
+@pytest.mark.parametrize("a,b", list(_ks_cases()))
+def test_ks_2samp_is_scipys_statistic(a, b):
+    for x, y in ((a, b), (b, a)):
+        got = ks_2samp(x, y).statistic
+        want = stats.ks_2samp(x, y).statistic
+        assert got == want and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_degenerate_study_ks_is_scipys():
+    pair = wc.equal_pair(wc.gaussian(), wc.comonotone())
+    res = run_clt_study(small_config(pair, wc.power_cost(1.5), "equal"))
+    assert res.ks_distance == stats.ks_2samp(res.statistics, res.draws.values).statistic == 0.0
 
 
 def test_study_summary_embeds_config(gauss_equal_pair, tmp_path):

@@ -7,6 +7,9 @@ exactly once.
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,14 +189,16 @@ def test_no_dispatch_outside_the_regime_table(module):
 
 
 def _names(path):
-    """Module-qualified imports, attribute names and called names of a source file."""
+    """Module-qualified imports, attribute names (qualified by a plain name
+    they are read from) and called names of a source file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            base = node.value
+            yield f"{base.id}.{node.attr}" if isinstance(base, ast.Name) else node.attr
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             yield node.func.id
 
@@ -213,3 +218,36 @@ def test_one_quadrature_rule():
              if n.startswith("scipy.integrate") or n.split(".")[-1] == "quad"
              or (n.endswith("roots_legendre") and path.name != "tails.py")]
     assert not found, found
+
+
+def test_no_scipy_stats():
+    # the built-in laws come from scipy.special: no module imports
+    # scipy.stats or reads it off the scipy package
+    found = [f"{path.name}: {n}" for path in sorted(SRC.glob("*.py")) for n in _names(path)
+             if n == "scipy.stats" or n.startswith("scipy.stats.")]
+    assert not found, found
+
+
+_NO_STATS_SCRIPT = """
+import sys
+import numpy as np
+import wcontrast as wc
+from wcontrast.harness import ExperimentConfig, run_clt_study
+assert "scipy.stats" not in sys.modules, "import"
+g = wc.gaussian()
+small = dict(n_sim=20, grid=(31, 1e-3))
+run_clt_study(ExperimentConfig(pair=wc.equal_pair(wc.beta_dist(2, 2)), cost=wc.power_cost(2.5),
+                               theorem=None, n=40, replications=3, seed=5, grid_m=31,
+                               grid_delta=1e-3, n_sim=20))
+wc.two_sample_test(wc.sample_pairs(wc.equal_pair(g), 40, seed=1), wc.equal_pair(g),
+                   wc.power_cost(1.5), **small)
+wc.gof_test(g.sample(40, np.random.default_rng(2)), g, p=1.0, **small)
+assert "scipy.stats" not in sys.modules, "calls"
+"""
+
+
+def test_scipy_stats_is_never_imported():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + sys.path))
+    done = subprocess.run([sys.executable, "-c", _NO_STATS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
