@@ -21,10 +21,9 @@ from .harness import (ExperimentConfig, StudyResult, emit_limit_draws,
                       emit_study, ingest_csv, load_config, run_clt_study)
 from .inference import (TestResult, clt_alternative_distribution, gof_test,
                         two_sample_test, wp_distance_to_dist)
-from .limitlaw import (BridgeGrid, LimitDraws, Regime, build_bridge_grid,
-                       draw_limit_E, draw_limit_ED, draw_limit_one_sample,
-                       draw_limit_W2, grid_mean_oracle_E, grid_mean_oracle_W2,
-                       select_regime, sigma2_D)
+from .limitlaw import (REGIMES, BridgeGrid, LimitDraws, Regime, build_bridge_grid,
+                       grid_mean_oracle_E, grid_mean_oracle_W2, select_regime,
+                       sigma2_D)
 from .seeding import derive_rng
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ import numpy as np
 from .costs import CostSpec
 from .distributions import LEFT, RIGHT, DistSpec, PairSpec
 from .errors import ValidationError
-from .tails import (CONVERGENT, DIVERGENT, assess_tail, probe_grid,
+from .tails import (CONVERGENT, DIVERGENT, assess_tail, log_u_one_minus_u, probe_grid,
                     quantile_rule, stabilized_running_max)
 
 __all__ = [
@@ -486,8 +486,7 @@ def check_compact(dist: DistSpec, cost: CostSpec, b_prime: float) -> CheckReport
 
         def log_g(ts, side=side):
             logf = dist.log_density_at_depth(side, ts)
-            log_u1mu = np.log1p(-np.exp(-ts)) - ts
-            return (b_prime / 2.0) * log_u1mu - b_prime * logf - ts
+            return (b_prime / 2.0) * log_u_one_minus_u(ts) - b_prime * logf - ts
 
         subs.append(_integrability(f"COMPACT({name})", log_g))
     params = {"dist": dist.name, "b_prime": b_prime, "cost": cost.name}

@@ -37,7 +37,7 @@ from scipy.special import (betainc, betaincc, betaincinv, betaln, expm1, hyp2f1,
 
 from .errors import DomainError, ValidationError
 from .seeding import derive_rng
-from .tails import bisect_floats
+from .tails import LEFT, RIGHT, bisect_floats, depth_u
 
 __all__ = [
     "DistSpec",
@@ -64,9 +64,6 @@ __all__ = [
     "quantile_difference",
     "bvn_cdf",
 ]
-
-RIGHT = "+"
-LEFT = "-"
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +673,6 @@ def warped_dist(base: DistSpec, warp: Callable, dwarp: Callable,
         with np.errstate(divide="ignore"):
             return np.where(x >= warp_top, base.log_sf(x),
                             np.log1p(-np.minimum(cdf(x), 1.0)))
-
-    def depth_u(side, t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-t) if side == LEFT else -np.expm1(-t)
 
     # the base's tail hooks, moved by the warp at depths inside its region
     def hook_position(side, fn):

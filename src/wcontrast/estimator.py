@@ -18,8 +18,8 @@ from scipy.special import expit, logit
 from .costs import CostSpec, evaluate
 from .distributions import PairSpec
 from .errors import IntegrabilityError, ValidationError
-from .tails import (CONVERGENT, DIVERGENT, GL16, assess_tail, bisect_floats, kink_rule,
-                    logit_nodes, logit_panels, quantile_rule)
+from .tails import (CONVERGENT, DIVERGENT, GL16, assess_tail, bisect_floats, depth_u,
+                    kink_rule, logit_nodes, logit_panels, quantile_rule)
 
 __all__ = [
     "PairedSample",
@@ -153,9 +153,7 @@ def w_cost_population(pair: PairSpec, cost: CostSpec) -> PopulationCost:
 
         def log_g(ts, side=side):
             # g(t) = rho_c(tau(u)) * du/dt at depth t along this tail
-            ts = np.asarray(ts, dtype=float)
-            u = np.exp(-ts) if side == "-" else -np.expm1(-ts)
-            u = np.clip(u, 1e-300, 1.0 - 1e-16)
+            u = np.clip(depth_u(side, ts), 1e-300, 1.0 - 1e-16)
             vals = np.asarray(evaluate(cost, pair.tau(u)), dtype=float)
             with np.errstate(divide="ignore"):
                 return np.log(np.maximum(vals, 1e-300)) - ts

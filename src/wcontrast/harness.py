@@ -19,7 +19,7 @@ import json
 import math
 import platform
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -35,8 +35,7 @@ from .distributions import (CouplingSpec, Partition, PairSpec, bump_warp,
 from .errors import ValidationError
 from .estimator import PairedSample, w_cost_empirical, w_cost_population
 from .inference import wp_distance_to_dist
-from .limitlaw import (_DEFAULT_TAIL_FRAC, DEFAULT_GRID, REGIMES, THEOREM_ONE_SAMPLE,
-                       LimitDraws, select_regime)
+from .limitlaw import DEFAULT_GRID, REGIMES, THEOREM_ONE_SAMPLE, LimitDraws, select_regime
 from .seeding import derive_rng
 
 __all__ = [
@@ -50,6 +49,9 @@ __all__ = [
     "resolve_cost",
     "resolve_pair",
 ]
+
+_RAISE_TAIL_FRAC = 0.05   # tail_policy "raise": largest tail bound / median |draw|
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -69,7 +71,6 @@ class ExperimentConfig:
     tail_policy: str = "record"         # "record" | "raise"
     check_policy: str = "require"       # "require" | "override"
     out: Optional[str] = None
-    raw: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "theorem",
@@ -104,7 +105,7 @@ class ExperimentConfig:
         other than pass raises unless check_policy is "override"."""
         regime = REGIMES[self.theorem]
         regime.gate(self.pair, self.cost, self.p, self.check_policy == "override")
-        tail_frac = _DEFAULT_TAIL_FRAC if self.tail_policy == "raise" else None
+        tail_frac = _RAISE_TAIL_FRAC if self.tail_policy == "raise" else None
         return regime.simulate(self.pair, self.cost, (self.grid_m, self.grid_delta),
                                self.n_sim, self.seed, tail_frac, self.p)
 
@@ -397,7 +398,6 @@ def load_config(path, seed_override: Optional[int] = None,
             replications=int(raw.get("replications", 1)),
             seed=int(seed),
             out=out_override or raw.get("out"),
-            raw=raw,
             **{key: cast(value) for key, (value, cast) in given.items()
                if value is not None},
         )

@@ -12,15 +12,15 @@ by trapezoid quadrature of one shared path per draw, with an explicit
 bound on the truncated tail contribution derived from the edge
 integrability of the relevant functional. ``select_regime`` decides from
 the pair and the cost which limit theorem applies; its ``REGIMES`` table
-gives each theorem's checker, rate, centering and draws. A ``draw_limit_*``
-call draws its functional for the pair it is given and, with
-``require_checks``, runs its theorem's checker.
+gives each theorem's checker, rate, centering, limit functional and tail
+bound. ``Regime.draw`` is the one routine that draws a functional; it does
+not run the checker, ``Regime.gate`` does.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +33,8 @@ from .distributions import LEFT, RIGHT, DistSpec, PairSpec, equal_pair
 from .errors import (HypothesisError, NumericalError, TruncationError,
                      ValidationError)
 from .seeding import derive_rng
-from .tails import CONVERGENT, assess_tail, quantile_rule
+from .tails import (CONVERGENT, assess_tail, depth_u, log_u_one_minus_u,
+                    quantile_rule)
 
 __all__ = [
     "BridgeGrid",
@@ -42,10 +43,6 @@ __all__ = [
     "REGIMES",
     "select_regime",
     "build_bridge_grid",
-    "draw_limit_E",
-    "draw_limit_W2",
-    "draw_limit_ED",
-    "draw_limit_one_sample",
     "sigma2_D",
     "grid_mean_oracle_E",
     "grid_mean_oracle_W2",
@@ -55,7 +52,6 @@ DEFAULT_GRID = (2047, 1e-4)       # (m, delta) of the bridge grid
 _JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 _FROBENIUS_RTOL = 1e-6
 _DEGENERATE_VAR = 1e-12
-_DEFAULT_TAIL_FRAC = 0.05
 _PROBE_SEED = 0            # fixed probe vectors of the factor residuals
 _N_PROBES = 4
 _BLOCK = 512               # draws per path block; the last block is zero-padded
@@ -474,24 +470,16 @@ def _collect(grid: BridgeGrid, n_sim: int, seed: int, functional) -> np.ndarray:
 def _log_sigma_bar(pair: PairSpec, side: str, ts: np.ndarray) -> np.ndarray:
     """log of sqrt(u(1-u)) (1/h_X + 1/h_Y) at tail depth t (a pointwise
     upper bound for the standard deviation of the driving process)."""
-    ts = np.asarray(ts, dtype=float)
-    log_u1mu = np.log1p(-np.exp(-ts)) - ts
     lf_x = np.asarray(pair.dist_x.log_density_at_depth(side, ts), dtype=float)
     lf_y = np.asarray(pair.dist_y.log_density_at_depth(side, ts), dtype=float)
-    return 0.5 * log_u1mu + np.logaddexp(-lf_x, -lf_y)
+    return 0.5 * log_u_one_minus_u(ts) + np.logaddexp(-lf_x, -lf_y)
 
 
 def _one_sided_power_tail(pair: PairSpec, side: str, power: float, t0: float) -> float:
-    """int_{tail} sigma_bar(u)^power du, extrapolated beyond the probe range."""
-
-    def log_g(ts):
-        ts = np.asarray(ts, dtype=float)
-        return power * _log_sigma_bar(pair, side, ts) - ts
-
-    assessment = assess_tail(log_g, t0)
-    if assessment.verdict == CONVERGENT:
-        return assessment.total
-    return math.inf
+    """int_{tail} sigma_bar(u)^power du, extrapolated beyond the probe range
+    (inf unless it converges)."""
+    assessment = assess_tail(lambda ts: power * _log_sigma_bar(pair, side, ts) - ts, t0)
+    return assessment.total if assessment.verdict == CONVERGENT else math.inf
 
 
 def truncated_tail_bound_E(pair: PairSpec, cost: CostSpec, delta: float) -> float:
@@ -532,10 +520,7 @@ def truncated_tail_bound_ED(pair: PairSpec, cost: CostSpec, delta: float) -> flo
         if label == "D":
 
             def log_g(ts, side=side):
-                ts = np.asarray(ts, dtype=float)
-                u = np.exp(-ts) if side == LEFT else -np.expm1(-ts)
-                u = np.clip(u, 1e-300, 1.0 - 1e-16)
-                tau = pair.tau(u)
+                tau = pair.tau(np.clip(depth_u(side, ts), 1e-300, 1.0 - 1e-16))
                 w = np.abs(derivative(cost, np.where(tau == 0.0, 1e-300, tau)))
                 with np.errstate(divide="ignore"):
                     return np.log(np.maximum(w, 1e-300)) \
@@ -551,61 +536,29 @@ def truncated_tail_bound_ED(pair: PairSpec, cost: CostSpec, delta: float) -> flo
     return bound
 
 
-def _finish_draws(values: np.ndarray, theorem: str, grid: BridgeGrid, seed: int,
-                  bound: float, tail_frac: Optional[float]) -> LimitDraws:
-    """The draws with their tail bound; given ``tail_frac``, the bound must
-    stay below that share of the median draw."""
-    if tail_frac is not None:
-        med = float(np.median(np.abs(values)))
-        if not math.isfinite(bound) or bound > tail_frac * max(med, 1e-300):
-            raise TruncationError(
-                f"truncated-tail bound {bound:.3g} exceeds {tail_frac:.0%} of the median "
-                f"draw {med:.3g}; shrink delta below {grid.delta:g} or relax tail_frac")
-    return LimitDraws(values, theorem, grid.summary(), seed, bound)
-
-
 # ---------------------------------------------------------------------------
-# limit draws
+# limit functionals: (pair, cost, grid, p) -> reduction of (B^X, B^Y) blocks
 # ---------------------------------------------------------------------------
 
-def draw_limit_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
-                 seed: int, tail_frac: Optional[float] = _DEFAULT_TAIL_FRAC,
-                 require_checks: bool = True) -> LimitDraws:
-    """Draws of the equal-marginals limit:
-    pi_- int 1_{Bq<0} |Bq|^{b_-} + pi_+ int 1_{Bq>0} |Bq|^{b_+}.
-    """
-    if require_checks:
-        REGIMES[THEOREM_EQUAL].gate(pair, cost)
+def _functional_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
+    """pi_- int 1_{Bq<0} |Bq|^{b_-} + pi_+ int 1_{Bq>0} |Bq|^{b_+}."""
     w = grid.weights
 
     def functional(bx, by):
         bq = _driving_process(grid, bx, by)
         absq = np.abs(bq)
-        neg_part = w @ (np.where(bq < 0, absq ** cost.b_minus, 0.0))
-        pos_part = w @ (np.where(bq > 0, absq ** cost.b_plus, 0.0))
-        return cost.pi_minus * neg_part + cost.pi_plus * pos_part
-
-    out = _collect(grid, n_sim, seed, functional)
-    bound = 0.0 if grid.degenerate else truncated_tail_bound_E(pair, cost, grid.delta)
-    return _finish_draws(out, THEOREM_EQUAL, grid, seed, bound, tail_frac)
+        return (cost.pi_minus * (w @ np.where(bq < 0, absq ** cost.b_minus, 0.0))
+                + cost.pi_plus * (w @ np.where(bq > 0, absq ** cost.b_plus, 0.0)))
+    return functional
 
 
-def draw_limit_W2(pair: PairSpec, grid: BridgeGrid, n_sim: int, seed: int,
-                  tail_frac: Optional[float] = _DEFAULT_TAIL_FRAC,
-                  require_checks: bool = True) -> LimitDraws:
-    """Draws of the quadratic-regime limit int Bq(u)^2 du."""
-    if require_checks:
-        REGIMES[THEOREM_QUADRATIC].gate(pair, None)
-    w = grid.weights
-    out = _collect(grid, n_sim, seed, lambda bx, by: w @ (_driving_process(grid, bx, by) ** 2))
-    bound = 0.0 if grid.degenerate else truncated_tail_bound_W2(pair, grid.delta)
-    return _finish_draws(out, THEOREM_QUADRATIC, grid, seed, bound, tail_frac)
+def _functional_W2(pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid, p: float):
+    """int Bq(u)^2 du."""
+    return lambda bx, by: grid.weights @ (_driving_process(grid, bx, by) ** 2)
 
 
-def draw_limit_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
-                  seed: int, tail_frac: Optional[float] = _DEFAULT_TAIL_FRAC,
-                  require_checks: bool = True) -> LimitDraws:
-    """Draws of the mixed-partition sqrt(n) limit, one shared path per draw:
+def _functional_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
+    """The sqrt(n) limit of a partition with D-labeled intervals:
 
     int_D |rho'(tau)| Bq du
       + 1_{b_-=1} L_-(0) int_E 1_{Bq<0} |Bq| du
@@ -614,8 +567,6 @@ def draw_limit_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
     For b > 1 the agreement region contributes nothing at this rate and
     only the Gaussian term remains.
     """
-    if require_checks:
-        REGIMES[THEOREM_MIXED].gate(pair, cost)
     w_d = _weight_fn(pair, cost, grid.u) * grid.weights
     e_mask = pair.partition.mask(grid.u, "E")
     w_e = grid.weights * e_mask
@@ -630,27 +581,15 @@ def draw_limit_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
             if cost.b_plus == 1.0:
                 vals = vals + cost.L0_plus * (w_e @ np.where(bq > 0, absq, 0.0))
         return vals
-
-    out = _collect(grid, n_sim, seed, functional)
-    bound = 0.0 if grid.degenerate else truncated_tail_bound_ED(pair, cost, grid.delta)
-    return _finish_draws(out, THEOREM_MIXED, grid, seed, bound, tail_frac)
+    return functional
 
 
-def draw_limit_one_sample(dist: DistSpec, p: float, grid: BridgeGrid, n_sim: int,
-                          seed: int, tail_frac: Optional[float] = _DEFAULT_TAIL_FRAC,
-                          require_checks: bool = True) -> LimitDraws:
-    """Draws of the one-sample limit int |B^X(u)/h(u)|^p du for 1 <= p < 2.
-
-    Uses the X-marginal block of the supplied grid (any coupling); the
-    marginal of the joint draws is a standard bridge.
-    """
-    if require_checks:
-        REGIMES[THEOREM_ONE_SAMPLE].gate(equal_pair(dist), None, p)
-    h = np.asarray(dist.density_quantile(grid.u), dtype=float)
-    w = grid.weights
-    out = _collect(grid, n_sim, seed, lambda bx, _: w @ (np.abs(bx / h[:, None]) ** p))
-    bound = truncated_tail_bound_one_sample(dist, p, grid.delta)
-    return _finish_draws(out, THEOREM_ONE_SAMPLE, grid, seed, bound, tail_frac)
+def _functional_one_sample(pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid,
+                           p: float):
+    """int |B^X(u)/h(u)|^p du for the X marginal, 1 <= p < 2, from the X
+    block of the grid (any coupling: its marginal is a standard bridge)."""
+    h = np.asarray(pair.dist_x.density_quantile(grid.u), dtype=float)
+    return lambda bx, _: grid.weights @ (np.abs(bx / h[:, None]) ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +600,17 @@ def draw_limit_one_sample(dist: DistSpec, p: float, grid: BridgeGrid, n_sim: int
 class Regime:
     """One limit theorem: whether it ``applies(pair, cost)``, its checker
     ``check(pair, cost, p)``, the ``rate(n, cost, p)`` of the statistic,
-    whether that is ``centred`` at W(F, G), and its unchecked ``draw(pair,
-    cost, grid, n_sim, seed, tail_frac, p=p)``; only one_sample reads p."""
+    whether that is ``centred`` at W(F, G), its limit ``functional(pair,
+    cost, grid, p)`` and the ``tail_bound(pair, cost, grid, p)`` on what the
+    delta-clipped grid leaves out; only one_sample reads p."""
 
     label: str
     applies: Callable
     check: Callable
     rate: Callable
     centred: bool
-    draw: Callable
+    functional: Callable
+    tail_bound: Callable
 
     def gate(self, pair: PairSpec, cost: Optional[CostSpec], p: float = 0.0,
              override: bool = False, what: Optional[str] = None) -> tuple:
@@ -685,13 +626,29 @@ class Regime:
                 "the check")
         return (f"checker {report.condition} = {report.verdict} (overridden)",)
 
+    def draw(self, pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid, n_sim: int,
+             seed: int, tail_frac: Optional[float], p: float = 0.0) -> LimitDraws:
+        """n_sim unchecked draws of this theorem's functional on ``grid``,
+        with the tail bound; given ``tail_frac``, the bound must stay below
+        that share of the median |draw|, else TruncationError."""
+        if n_sim < 1:
+            raise ValidationError(f"limit draws require n_sim >= 1; got {n_sim}")
+        values = _collect(grid, n_sim, seed, self.functional(pair, cost, grid, p))
+        bound = self.tail_bound(pair, cost, grid, p)
+        if tail_frac is not None:
+            med = float(np.median(np.abs(values)))
+            if not math.isfinite(bound) or bound > tail_frac * max(med, 1e-300):
+                raise TruncationError(
+                    f"truncated-tail bound {bound:.3g} exceeds {tail_frac:.0%} of the median "
+                    f"draw {med:.3g}; shrink delta below {grid.delta:g} or relax tail_frac")
+        return LimitDraws(values, self.label, grid.summary(), seed, bound)
+
     def simulate(self, pair: PairSpec, cost: Optional[CostSpec], grid_shape: tuple,
                  n_sim: int, seed: int, tail_frac: Optional[float],
                  p: float = 0.0) -> LimitDraws:
-        """Unchecked draws on a fresh (m, delta) grid, labelled with this theorem."""
-        grid = build_bridge_grid(pair, *grid_shape)
-        return replace(self.draw(pair, cost, grid, n_sim, seed, tail_frac, p=p),
-                       theorem=self.label)
+        """Unchecked draws on a fresh (m, delta) grid."""
+        return self.draw(pair, cost, build_bridge_grid(pair, *grid_shape), n_sim, seed,
+                         tail_frac, p)
 
 
 def _describe(pair: PairSpec, cost: Optional[CostSpec]) -> str:
@@ -729,38 +686,42 @@ def _check_one_sample(pair: PairSpec, cost: Optional[CostSpec], p: float):
     return check_pareto_dominance(pair.dist_x, 2.0 * (p + 2.0) / (2.0 - p))
 
 
-# Checkers and draws are called through their module-level names, looked up
-# at call time, so a wrapper set on such a name sees every call; ``run`` is
-# (n_sim, seed, tail_frac).
+def _tail_bound_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float) -> float:
+    return 0.0 if grid.degenerate else truncated_tail_bound_ED(pair, cost, grid.delta)
+
+
+# Checkers and tail bounds are called through their module-level names,
+# looked up at call time, so a wrapper set on such a name sees every call.
+# The two-sample tail bounds are 0 on a degenerate grid, where Bq vanishes.
 REGIMES = {r.label: r for r in (
     Regime(THEOREM_EQUAL,
            lambda pair, cost: pair.partition.is_all_E and (_bounded(pair.dist_x)
                                                            or cost.b < 2.0),
-           _check_equal, lambda n, cost, p: rate_vn(cost, n), False,
-           lambda pair, cost, grid, *run, p: draw_limit_E(pair, cost, grid, *run, False)),
+           _check_equal, lambda n, cost, p: rate_vn(cost, n), False, _functional_E,
+           lambda pair, cost, grid, p: 0.0 if grid.degenerate
+           else truncated_tail_bound_E(pair, cost, grid.delta)),
     Regime(THEOREM_QUADRATIC,
            lambda pair, cost: (pair.partition.is_all_E and not _bounded(pair.dist_x)
                                and _is_quadratic_near_zero(cost)),
            lambda pair, cost, p: check_w2_hypotheses(pair.dist_x),
-           lambda n, cost, p: float(n), False,
-           lambda pair, cost, grid, *run, p: draw_limit_W2(pair, grid, *run, False)),
+           lambda n, cost, p: float(n), False, _functional_W2,
+           lambda pair, cost, grid, p: 0.0 if grid.degenerate
+           else truncated_tail_bound_W2(pair, grid.delta)),
     Regime(THEOREM_GAUSSIAN,
            lambda pair, cost: pair.partition.has_D and (
                cost.b > 1.0 or (cost.b == 1.0 and pair.partition.is_all_D)),
            lambda pair, cost, p: check_cfg_ed(pair, cost),
-           lambda n, cost, p: math.sqrt(n), True,
-           lambda pair, cost, grid, *run, p: draw_limit_ED(pair, cost, grid, *run, False)),
+           lambda n, cost, p: math.sqrt(n), True, _functional_ED, _tail_bound_ED),
     Regime(THEOREM_MIXED,
            lambda pair, cost: (pair.partition.has_D and pair.partition.has_E
                                and cost.b == 1.0 and _finite_L0(cost)),
            lambda pair, cost, p: check_cfg_ed(pair, cost),
-           lambda n, cost, p: math.sqrt(n), True,
-           lambda pair, cost, grid, *run, p: draw_limit_ED(pair, cost, grid, *run, False)),
+           lambda n, cost, p: math.sqrt(n), True, _functional_ED, _tail_bound_ED),
     # chosen only by its label; reads the X marginal alone
     Regime(THEOREM_ONE_SAMPLE, lambda pair, cost: False, _check_one_sample,
-           lambda n, cost, p: n ** (p / 2.0), False,
-           lambda pair, cost, grid, *run, p: draw_limit_one_sample(pair.dist_x, p, grid,
-                                                                  *run, False)),
+           lambda n, cost, p: n ** (p / 2.0), False, _functional_one_sample,
+           lambda pair, cost, grid, p: truncated_tail_bound_one_sample(pair.dist_x, p,
+                                                                       grid.delta)),
 )}
 
 

@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def _key_to_int(part) -> int:
     if isinstance(part, (int, np.integer)):
@@ -21,7 +23,10 @@ def _key_to_int(part) -> int:
 
 
 def derive_seed_sequence(master_seed: int, *key) -> np.random.SeedSequence:
-    entropy = (int(master_seed),) + tuple(_key_to_int(p) for p in key)
+    seed = int(master_seed)
+    if seed < 0:
+        raise ValidationError(f"the master seed must be a non-negative integer; got {seed}")
+    entropy = (seed,) + tuple(_key_to_int(p) for p in key)
     return np.random.SeedSequence(entropy)
 
 

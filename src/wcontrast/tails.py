@@ -29,6 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logit, roots_jacobi, roots_legendre
 
+LEFT = "-"     # tail sides: u -> 0 and u -> 1
+RIGHT = "+"
+
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
@@ -113,6 +116,17 @@ def assess_tail(log_g, t_lo: float, t_hi: float = 1e6, n: int = 160) -> TailAsse
 
 def probe_grid(t_lo: float, t_hi: float, n: int = 160) -> np.ndarray:
     return np.geomspace(t_lo, t_hi, n)
+
+
+def depth_u(side: str, t) -> np.ndarray:
+    """u at tail depth t: exp(-t) on the left, 1 - exp(-t) on the right."""
+    t = np.asarray(t, dtype=float)
+    return np.exp(-t) if side == LEFT else -np.expm1(-t)
+
+
+def log_u_one_minus_u(t):
+    """log u(1 - u) at tail depth t, the same on either side."""
+    return np.log1p(-np.exp(-t)) - t
 
 
 def _float_key(x) -> np.ndarray:

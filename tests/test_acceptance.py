@@ -112,8 +112,7 @@ def test_criterion_6_degenerate_exactness():
         for n in (1, 10, 100, 2000, 20000)
     )
     grid = build_bridge_grid(pair, m=511, delta=1e-4)
-    draws = wc.draw_limit_E(pair, cost, grid, 1000, seed=SEED + 5,
-                            tail_frac=None, require_checks=False)
+    draws = wc.REGIMES["equal"].draw(pair, cost, grid, 1000, SEED + 5, None)
     draws_exact = bool(np.all(draws.values == 0.0))
     ok = stats_exact and draws_exact
     _report(6, ok, f"statistics exactly 0: {stats_exact}, draws exactly 0: {draws_exact}")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import wcontrast as wc
 from tests.conftest import w1_cdf_distance
 from wcontrast import cli
 from wcontrast.cli import main
@@ -164,3 +165,37 @@ def test_non_finite_csv_exit_code(tmp_path):
     path.write_text("1.0,2.0\n3.0,4.0\nnan,1.0\n")
     rc = main(["estimate", "--data", str(path), "--cost", '{"family":"power","p":1}'])
     assert rc == 2
+
+
+@pytest.mark.parametrize("n_sim", ["0", "-5"])
+def test_nonpositive_nsim_exit_code(data_csv, null_yaml, n_sim, capsys):
+    rc = main(["test", "--data", str(data_csv), "--null", str(null_yaml),
+               "--cost", '{"family": "power", "p": 1.5}', "--nsim", n_sim])
+    assert rc == 2
+    assert "n_sim" in capsys.readouterr().err
+
+
+def test_nonpositive_nsim_library_calls():
+    g = wc.gaussian()
+    small = dict(n_sim=0, grid=(31, 1e-3))
+    with pytest.raises(ValidationError, match="n_sim"):
+        wc.two_sample_test(wc.sample_pairs(wc.equal_pair(g), 40, seed=1), wc.equal_pair(g),
+                           wc.power_cost(1.5), **small)
+    with pytest.raises(ValidationError, match="n_sim"):
+        wc.gof_test(g.sample(40, np.random.default_rng(2)), g, p=1.0, **small)
+    grid = wc.build_bridge_grid(wc.equal_pair(g), m=31, delta=1e-3)
+    with pytest.raises(ValidationError, match="n_sim"):
+        wc.REGIMES["equal"].draw(wc.equal_pair(g), wc.power_cost(1.5), grid, -5, 1, None)
+
+
+def test_negative_seed_exit_code(data_csv, null_yaml, study_yaml, tmp_path, capsys):
+    rc = main(["test", "--data", str(data_csv), "--null", str(null_yaml),
+               "--cost", '{"family": "power", "p": 1.5}', "--nsim", "20", "--seed", "-1"])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    cfg = tmp_path / "neg.yaml"
+    cfg.write_text(study_yaml.read_text().replace("seed: 42", "seed: -3"))
+    assert main(["study", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "seed" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="seed"):
+        wc.derive_rng(-1, "draws")

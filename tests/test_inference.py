@@ -15,15 +15,15 @@ GRID = (511, 1e-4)
 @pytest.fixture(scope="module")
 def null_draws_p15(gauss_equal_pair):
     grid = wc.build_bridge_grid(gauss_equal_pair, m=GRID[0], delta=GRID[1])
-    return wc.draw_limit_E(gauss_equal_pair, wc.power_cost(1.5), grid, 4000,
-                           seed=301, tail_frac=None, require_checks=False)
+    return wc.REGIMES["equal"].draw(gauss_equal_pair, wc.power_cost(1.5), grid, 4000, 301,
+                                    None)
 
 
 @pytest.fixture(scope="module")
 def one_sample_draws(gauss_equal_pair):
     grid = wc.build_bridge_grid(gauss_equal_pair, m=GRID[0], delta=GRID[1])
-    return wc.draw_limit_one_sample(wc.gaussian(), 1.0, grid, 4000, seed=302,
-                                    tail_frac=None, require_checks=False)
+    return wc.REGIMES["one_sample"].draw(wc.equal_pair(wc.gaussian()), None, grid, 4000, 302,
+                                         None, p=1.0)
 
 
 def test_identical_samples_p_value_one(gauss_equal_pair, null_draws_p15):

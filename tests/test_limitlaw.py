@@ -151,8 +151,7 @@ def test_gaussian_copula_near_unit_rho_goes_dense(rho):
     grid = wc.build_bridge_grid(pair, m=64, delta=1e-3)
     assert grid.factor_kind == "dense"
     assert (grid.rank, grid.truncation_bound) == (64, 0.0)
-    draws = wc.draw_limit_ED(pair, wc.power_cost(2), grid, 600, seed=5, tail_frac=None,
-                             require_checks=False)
+    draws = wc.REGIMES["gaussian"].draw(pair, wc.power_cost(2), grid, 600, 5, None)
     assert np.all(np.isfinite(draws.values))
 
 
@@ -164,8 +163,7 @@ def test_low_rank_and_dense_copula_draws_agree_in_distribution():
         pair = wc.equal_pair(wc.gaussian(), coupling)
         grid = wc.build_bridge_grid(pair, m=255, delta=1e-4)
         assert grid.factor_kind == kind
-        vals = wc.draw_limit_E(pair, cost, grid, 4000, seed=seed, tail_frac=None,
-                               require_checks=False).values
+        vals = wc.REGIMES["equal"].draw(pair, cost, grid, 4000, seed, None).values
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - grid_mean_oracle_E(pair, cost, grid)) <= 4.0 * se
         values.append(vals)
@@ -285,8 +283,7 @@ def test_draw_limit_E_mean_oracle(gauss_equal_pair):
     # symmetric b = 1 cost: E int |Bq| = sqrt(2/pi) int sd(u) du over the grid
     grid = wc.build_bridge_grid(gauss_equal_pair, m=511, delta=1e-4)
     cost = wc.power_cost(1)
-    draws = wc.draw_limit_E(gauss_equal_pair, cost, grid, 5000, seed=4,
-                            tail_frac=None, require_checks=False)
+    draws = wc.REGIMES["equal"].draw(gauss_equal_pair, cost, grid, 5000, 4, None)
     oracle = grid_mean_oracle_E(gauss_equal_pair, cost, grid)
     hand = math.sqrt(2 / math.pi) * float(
         grid.weights @ (math.sqrt(2) * np.sqrt(grid.u * (1 - grid.u)) / grid.h_x))
@@ -298,8 +295,7 @@ def test_draw_limit_E_symmetric_power_is_plain_integral(gauss_equal_pair):
     # pi_pm = 1 and equal branch indices: the functional is int |Bq|^p
     grid = wc.build_bridge_grid(gauss_equal_pair, m=127, delta=1e-3)
     cost = wc.power_cost(1.5)
-    draws = wc.draw_limit_E(gauss_equal_pair, cost, grid, 64, seed=5,
-                            tail_frac=None, require_checks=False)
+    draws = wc.REGIMES["equal"].draw(gauss_equal_pair, cost, grid, 64, 5, None)
     vals = []
     for bx, by in iter_bridge_paths(grid, 64, seed=5):
         bq = bx / grid.h_x[:, None] - by / grid.h_y[:, None]
@@ -310,24 +306,21 @@ def test_draw_limit_E_symmetric_power_is_plain_integral(gauss_equal_pair):
 def test_draw_limit_W2_uniform_third(gauss_equal_pair):
     pair = wc.equal_pair(wc.uniform())
     grid = wc.build_bridge_grid(pair, m=511, delta=1e-4)
-    draws = wc.draw_limit_W2(pair, grid, 5000, seed=6, tail_frac=None,
-                             require_checks=False)
+    draws = wc.REGIMES["quadratic"].draw(pair, None, grid, 5000, 6, None)
     assert grid_mean_oracle_W2(pair, grid) == pytest.approx(1 / 3, rel=1e-3)
     assert draws.values.mean() == pytest.approx(1 / 3, rel=0.03)
 
 
 def test_draw_limit_W2_checker_blocks_gaussian(gauss_equal_pair):
-    grid = wc.build_bridge_grid(gauss_equal_pair, m=64, delta=1e-3)
     with pytest.raises(HypothesisError, match="W2H"):
-        wc.draw_limit_W2(gauss_equal_pair, grid, 10, seed=1, tail_frac=None)
+        wc.REGIMES["quadratic"].gate(gauss_equal_pair, None)
 
 
 def test_draw_limit_one_sample_uniform_mean():
     dist = wc.uniform()
     pair = wc.equal_pair(dist)
     grid = wc.build_bridge_grid(pair, m=511, delta=1e-4)
-    draws = wc.draw_limit_one_sample(dist, 1.0, grid, 5000, seed=8,
-                                     tail_frac=None, require_checks=False)
+    draws = wc.REGIMES["one_sample"].draw(pair, None, grid, 5000, 8, None, p=1.0)
     expected = math.sqrt(2 / math.pi) * math.pi / 8
     assert draws.values.mean() == pytest.approx(expected, rel=0.02)
     assert np.all(draws.values > 0)
@@ -335,8 +328,9 @@ def test_draw_limit_one_sample_uniform_mean():
 
 def test_draw_limit_one_sample_gaussian_p15_finite_positive(gauss_equal_pair):
     grid = wc.build_bridge_grid(gauss_equal_pair, m=255, delta=1e-4)
-    draws = wc.draw_limit_one_sample(wc.gaussian(), 1.5, grid, 500, seed=9,
-                                     tail_frac=None)
+    one_sample = wc.REGIMES["one_sample"]
+    assert one_sample.gate(gauss_equal_pair, None, 1.5) == ()
+    draws = one_sample.draw(gauss_equal_pair, None, grid, 500, 9, None, p=1.5)
     assert np.all(np.isfinite(draws.values))
     assert np.all(draws.values > 0)
 
@@ -348,8 +342,7 @@ def test_one_sample_delta_stability():
     means, bounds = [], []
     for delta in (1e-3, 1e-4):
         grid = wc.build_bridge_grid(pair, m=1023, delta=delta)
-        draws = wc.draw_limit_one_sample(dist, 1.0, grid, 20000, seed=10,
-                                         tail_frac=None, require_checks=False)
+        draws = wc.REGIMES["one_sample"].draw(pair, None, grid, 20000, 10, None, p=1.0)
         means.append(draws.values.mean())
         bounds.append(draws.tail_bound)
     assert abs(means[0] - means[1]) <= sum(bounds) + 3e-3   # MC noise allowance
@@ -358,8 +351,7 @@ def test_one_sample_delta_stability():
 def test_draw_limit_ED_mixed_shape(bump_pair_comonotone):
     grid = wc.build_bridge_grid(bump_pair_comonotone, m=511, delta=1e-4)
     cost = wc.power_cost(1)
-    draws = wc.draw_limit_ED(bump_pair_comonotone, cost, grid, 4000, seed=11,
-                             tail_frac=None, require_checks=False)
+    draws = wc.REGIMES["mixed"].draw(bump_pair_comonotone, cost, grid, 4000, 11, None)
     # comonotone: E-part vanishes, D-part is int_D Bq with variance Var(bump(U))
     var_expected = 0.15 ** 2 * 0.3 * 0.375 - 0.0225 ** 2
     assert draws.values.mean() == pytest.approx(0.0, abs=0.01)
@@ -371,10 +363,8 @@ def test_draw_limit_ED_reduces_to_E_for_same_seed(gauss_equal_pair):
     # the equal-marginals draws exactly (shared path machinery)
     grid = wc.build_bridge_grid(gauss_equal_pair, m=255, delta=1e-4)
     cost = wc.power_cost(1)
-    a = wc.draw_limit_ED(gauss_equal_pair, cost, grid, 256, seed=12,
-                         tail_frac=None, require_checks=False)
-    b = wc.draw_limit_E(gauss_equal_pair, cost, grid, 256, seed=12,
-                        tail_frac=None, require_checks=False)
+    a = wc.REGIMES["mixed"].draw(gauss_equal_pair, cost, grid, 256, 12, None)
+    b = wc.REGIMES["equal"].draw(gauss_equal_pair, cost, grid, 256, 12, None)
     assert np.allclose(a.values, b.values, rtol=1e-12)
 
 
@@ -382,8 +372,7 @@ def test_draw_limit_ED_gaussian_term_variance(gauss_shift_pair):
     # all-D partition with 1 < b < 2: draws are Gaussian with variance sigma2_D
     grid = wc.build_bridge_grid(gauss_shift_pair, m=511, delta=1e-4)
     cost = wc.power_cost(1.5)
-    draws = wc.draw_limit_ED(gauss_shift_pair, cost, grid, 5000, seed=13,
-                             tail_frac=None, require_checks=False)
+    draws = wc.REGIMES["gaussian"].draw(gauss_shift_pair, cost, grid, 5000, 13, None)
     # |rho'(-1)| = 1.5; sigma^2 = 1.5^2 * 2 * Var-type Hoeffding integral = 4.5
     assert draws.values.var() == pytest.approx(1.5 ** 2 * 2.0, rel=0.08)
     assert stats.kstest(draws.values, stats.norm(0, 1.5 * math.sqrt(2)).cdf).statistic < 0.03
@@ -398,8 +387,7 @@ def test_grid_refinement_stability():
         means = []
         for m in (255, 511):
             grid = wc.build_bridge_grid(pair, m=m, delta=1e-4)
-            draws = wc.draw_limit_E(pair, cost, grid, 100_000, seed=14,
-                                    tail_frac=None, require_checks=False)
+            draws = wc.REGIMES["equal"].draw(pair, cost, grid, 100_000, 14, None)
             means.append(draws.values.mean())
         assert abs(means[1] / means[0] - 1) < 0.01, dist.name
 
@@ -410,7 +398,7 @@ def test_truncation_error_raised_when_bound_large():
     pair = wc.equal_pair(wc.weibull(3.0))
     grid = wc.build_bridge_grid(pair, m=255, delta=1e-4)
     with pytest.raises(TruncationError, match="shrink delta"):
-        wc.draw_limit_W2(pair, grid, 200, seed=15, require_checks=False)
+        wc.REGIMES["quadratic"].draw(pair, None, grid, 200, 15, tail_frac=0.05)
 
 
 def test_sigma2_hoeffding_oracle(gauss_shift_pair):
@@ -550,10 +538,8 @@ def test_sigma2_delta_validation(gauss_shift_pair, delta):
 def test_draws_reproducible(gauss_equal_pair):
     grid = wc.build_bridge_grid(gauss_equal_pair, m=64, delta=1e-3)
     cost = wc.power_cost(1.5)
-    a = wc.draw_limit_E(gauss_equal_pair, cost, grid, 40, seed=77,
-                        tail_frac=None, require_checks=False)
-    b = wc.draw_limit_E(gauss_equal_pair, cost, grid, 40, seed=77,
-                        tail_frac=None, require_checks=False)
+    a = wc.REGIMES["equal"].draw(gauss_equal_pair, cost, grid, 40, 77, None)
+    b = wc.REGIMES["equal"].draw(gauss_equal_pair, cost, grid, 40, 77, None)
     assert np.array_equal(a.values, b.values)
     # draw j, path and value, is bit-identical for every n_sim > j
     couplings = {"closed-form": wc.independent(), "low-rank": wc.gaussian_coupling(0.5),
@@ -562,12 +548,10 @@ def test_draws_reproducible(gauss_equal_pair):
         pair = wc.equal_pair(wc.gaussian(), coupling)
         grid = wc.build_bridge_grid(pair, m=127, delta=1e-4)
         assert grid.factor_kind == kind
-        ref = wc.draw_limit_E(pair, cost, grid, 1100, seed=77, tail_frac=None,
-                              require_checks=False).values
+        ref = wc.REGIMES["equal"].draw(pair, cost, grid, 1100, 77, None).values
         ref_paths = np.hstack([bx for bx, _ in iter_bridge_paths(grid, 1100, seed=77)])
         for n_sim in (1, 37, 600):
-            vals = wc.draw_limit_E(pair, cost, grid, n_sim, seed=77, tail_frac=None,
-                                   require_checks=False).values
+            vals = wc.REGIMES["equal"].draw(pair, cost, grid, n_sim, 77, None).values
             assert np.array_equal(vals, ref[:n_sim]), (kind, n_sim)
             paths = np.hstack([bx for bx, _ in iter_bridge_paths(grid, n_sim, seed=77)])
             assert np.array_equal(paths, ref_paths[:, :n_sim]), (kind, n_sim)

@@ -1,8 +1,8 @@
 """One table decides the limit theorem: ``limitlaw.select_regime``.
 
 Every caller (``check``, the tests in ``inference``, the study runner) takes
-its checker, rate and draws from it, and each public call runs its checker
-exactly once.
+its checker, rate and draws from it, each public call runs its checker
+exactly once, and every limit draw goes through ``Regime.draw``.
 """
 
 import ast
@@ -172,7 +172,7 @@ SRC = Path(wc.__file__).resolve().parent
 
 @pytest.mark.parametrize("module", ["cli.py", "inference.py", "harness.py"])
 def test_no_dispatch_outside_the_regime_table(module):
-    # draws and theorem checkers are reached through limitlaw.select_regime;
+    # theorem checkers are reached through limitlaw.select_regime;
     # check_fg and sigma2_D stay allowed
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     found = []
@@ -184,8 +184,49 @@ def test_no_dispatch_outside_the_regime_table(module):
                          else getattr(func, "attr", ""))
         elif isinstance(node, ast.ImportFrom):
             names.extend(alias.name for alias in node.names)
-        found += [n for n in names if n in DISPATCH_ONLY or n.startswith("draw_limit_")]
+        found += [n for n in names if n in DISPATCH_ONLY]
     assert not found, f"{module} dispatches directly: {found}"
+
+
+def _calls(tree, scope=()):
+    """(enclosing class and function names, called name) of every call."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _calls(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield ".".join(scope), (func.id if isinstance(func, ast.Name)
+                                    else getattr(func, "attr", ""))
+        yield from _calls(child, scope)
+
+
+def _identifiers(tree):
+    """Every name a source file defines, reads, imports or lists as a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_one_draw_routine():
+    # every limit draw reduces its path blocks in Regime.draw, the one caller
+    # of limitlaw._collect, and no per-theorem draw_limit_* function remains
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    sites = [f"{name}: {scope}" for name, tree in trees.items()
+             for scope, called in _calls(tree) if called == "_collect"]
+    assert sites == ["limitlaw.py: Regime.draw"], sites
+    found = [f"{name}: {n}" for name, tree in trees.items() for n in _identifiers(tree)
+             if "draw_limit_" in n]
+    assert not found, found
 
 
 def _names(path):
