@@ -170,7 +170,6 @@ def check_fg(dist: DistSpec) -> CheckReport:
     deepest decade of tail mass, per side).
     """
     params = {"fd_step": _FD_STEP, "dist": dist.name}
-    notes = []
 
     # FG1: positive density strictly inside the support
     us = np.linspace(1e-3, 1 - 1e-3, 997)
@@ -182,8 +181,6 @@ def check_fg(dist: DistSpec) -> CheckReport:
             "FG", FAIL, (), params,
             (f"density vanishes in the interior near u = {us[np.argmax(bad)]:.4g} ((FG1))",),
         )
-    if not dist.smooth_declared:
-        notes.append("C2 smoothness declared, not verified ((FG1))")
 
     # FG2 and FG3 terms: at interior points in u, then along each tail in depth t
     s_int = np.minimum(us, 1 - us)
@@ -222,7 +219,7 @@ def check_fg(dist: DistSpec) -> CheckReport:
         subreports.append(CheckReport(
             cond, verdict, profile,
             {"sup": sup, "stabilized": stable}, ()))
-    return _combine("FG", subreports, params, notes)
+    return _combine("FG", subreports, params)
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,6 @@ class DistSpec:
     tail_quantile_fn: dict = field(default_factory=dict)      # t -> position
     log_tail_magnitude_fn: dict = field(default_factory=dict)  # t -> log |position|
     log_density_at_depth_fn: dict = field(default_factory=dict)
-    smooth_declared: bool = True        # C2 smoothness, verified only for built-ins
 
     # -- sampling ------------------------------------------------------
     def sample(self, n: int, rng) -> np.ndarray:

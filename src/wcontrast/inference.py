@@ -72,8 +72,7 @@ def two_sample_test(sample: PairedSample, null_pair: PairSpec, cost: CostSpec,
                     n_sim: int = _DEFAULT_NSIM, seed: int = 7,
                     grid: tuple = DEFAULT_GRID,
                     override_checks: bool = False,
-                    tail_frac: Optional[float] = None,
-                    null_fitted: bool = False) -> TestResult:
+                    tail_frac: Optional[float] = None) -> TestResult:
     """Test of equal marginal laws from paired data.
 
     The statistic is the order-statistic contrast, scaled by the rate of the
@@ -87,10 +86,7 @@ def two_sample_test(sample: PairedSample, null_pair: PairSpec, cost: CostSpec,
         raise ValidationError("the null pair must declare equal quantile functions "
                               "on all of (0,1)")
     regime = select_regime(null_pair, cost)
-    notes = []
-    if null_fitted:
-        notes.append("null simulated under a fitted parametric law: p-value approximate")
-    notes += regime.gate(null_pair, cost, override=override_checks)
+    notes = regime.gate(null_pair, cost, override=override_checks)
 
     return _simulated_test(regime, null_pair, cost, 0.0, w_cost_empirical(sample, cost),
                            sample.n, level, sim, n_sim, seed, grid, tail_frac, notes)
@@ -99,7 +95,7 @@ def two_sample_test(sample: PairedSample, null_pair: PairSpec, cost: CostSpec,
 def _simulated_test(regime: Regime, pair: PairSpec, cost: Optional[CostSpec], p: float,
                     statistic: float, n: int, level: float, sim: Optional[LimitDraws],
                     n_sim: int, seed: int, grid: tuple, tail_frac: Optional[float],
-                    notes: list) -> TestResult:
+                    notes: tuple) -> TestResult:
     """Scale the statistic by the regime's rate and compare it with ``sim``,
     or with fresh draws of the regime's limit law when ``sim`` is None."""
     scaled = regime.rate(n, cost, p) * statistic
@@ -115,7 +111,7 @@ def _simulated_test(regime: Regime, pair: PairSpec, cost: Optional[CostSpec], p:
         n_sim=sim.n_sim,
         level=level,
         reject=p_value <= level,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -176,8 +172,7 @@ def gof_test(xs, null_dist: DistSpec, p: float = 1.0,
              n_sim: int = _DEFAULT_NSIM, seed: int = 11,
              grid: tuple = DEFAULT_GRID,
              override_checks: bool = False,
-             tail_frac: Optional[float] = None,
-             null_fitted: bool = False) -> TestResult:
+             tail_frac: Optional[float] = None) -> TestResult:
     """One-sample goodness of fit against a fully specified null via the
     n^{p/2}-scaled W_p^p distance and its simulated limit law."""
     if not 0.0 < level < 1.0:
@@ -185,11 +180,8 @@ def gof_test(xs, null_dist: DistSpec, p: float = 1.0,
     xs = np.asarray(xs, dtype=float)
     pair = equal_pair(null_dist)
     regime = select_regime(pair, None, THEOREM_ONE_SAMPLE)
-    notes = []
-    if null_fitted:
-        notes.append("null fitted from data: p-value approximate")
-    notes += regime.gate(pair, None, p, override_checks,
-                         what=f"the tail dominance of the null {null_dist.name}")
+    notes = regime.gate(pair, None, p, override_checks,
+                        what=f"the tail dominance of the null {null_dist.name}")
 
     return _simulated_test(regime, pair, None, p, wp_distance_to_dist(xs, null_dist, p),
                            len(xs), level, sim, n_sim, seed, grid, tail_frac, notes)
