@@ -5,8 +5,9 @@ one-sample goodness of fit against a fully specified null, and the
 asymptotic distribution of the statistic under a fixed alternative (for
 power analysis and confidence intervals). Only simple nulls are supported:
 the limiting laws depend on the density-quantile of the null, so a fully
-specified null distribution is required; simulating under a fitted
-parametric null must be flagged explicitly and is reported as approximate.
+specified null distribution is required. No option covers a null fitted
+to the data, under which the simulated critical values would be only
+approximate.
 Each call takes its limit theorem, checker, rate and draws from
 ``limitlaw.select_regime`` and runs the checker once; a verdict other than
 pass raises HypothesisError unless ``override_checks`` turns it into a note.
@@ -50,6 +51,7 @@ class TestResult:
     n_sim: int
     level: float
     reject: bool
+    grid: dict
     notes: tuple = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
@@ -62,6 +64,7 @@ class TestResult:
             "n_sim": self.n_sim,
             "level": self.level,
             "reject": self.reject,
+            "grid": self.grid,
             "notes": list(self.notes),
         }
 
@@ -111,6 +114,7 @@ def _simulated_test(regime: Regime, pair: PairSpec, cost: Optional[CostSpec], p:
         n_sim=sim.n_sim,
         level=level,
         reject=p_value <= level,
+        grid=sim.grid_meta,
         notes=notes,
     )
 

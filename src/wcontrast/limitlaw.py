@@ -8,13 +8,14 @@ one of three ways: closed-form O(m) (independent, comonotone), low-rank
 O(m r) from Mehler's expansion (Gaussian copula) or a dense 2m x 2m
 Cholesky (any other copula, and Gaussian copulas that need more than
 m/2 Mehler terms). Limits are evaluated on a delta-clipped equispaced grid
-by trapezoid quadrature of one shared path per draw, with an explicit
-bound on the truncated tail contribution derived from the edge
+by trapezoid quadrature of one path per draw of the one process the
+functional reads (Bq, or B^X/h_X for the one-sample limit), with an
+explicit bound on the truncated tail contribution derived from the edge
 integrability of the relevant functional. ``select_regime`` decides from
 the pair and the cost which limit theorem applies; its ``REGIMES`` table
-gives each theorem's checker, rate, centering, limit functional and tail
-bound. ``Regime.draw`` is the one routine that draws a functional; it does
-not run the checker, ``Regime.gate`` does.
+gives each theorem's checker, rate, centering, process read, limit
+functional and tail bound. ``Regime.draw`` is the one routine that draws a
+functional; it does not run the checker, ``Regime.gate`` does.
 """
 
 from __future__ import annotations
@@ -67,7 +68,10 @@ _MAX_RANK_FRACTION = 0.5
 FACTOR_CLOSED_FORM = "closed-form"   # O(m) factor, independent / comonotone
 FACTOR_LOW_RANK = "low-rank"         # O(m r) Mehler factor, Gaussian copula
 FACTOR_DENSE = "dense"               # 2m x 2m Cholesky, general copulas
-RNG_SCHEME = "stream-v2"             # one derive_rng(seed, "draws") stream per call
+RNG_SCHEME = "stream-v3"             # one derive_rng(seed, "draws") stream per call
+
+READS_BQ = "Bq"          # the driving process B^X/h_X - B^Y/h_Y
+READS_X = "B^X/h_X"      # the X bridge alone, scaled by its density-quantile
 
 THEOREM_EQUAL = "equal"            # quantiles agree everywhere, rate v_n
 THEOREM_QUADRATIC = "quadratic"    # b = 2 regime, rate n
@@ -130,7 +134,8 @@ class BridgeGrid:
 
     def bridges(self, z: np.ndarray):
         """Map standard normals z of shape (2m, k) to the bridge blocks
-        (B^X, B^Y), each of shape (m, k)."""
+        (B^X, B^Y), each of shape (m, k): the joint generator, which draws
+        use where Bq is not one scaled bridge (``_route``)."""
         m = self.m
         if self.factor_kind == FACTOR_DENSE:
             paths = self.factor @ z
@@ -260,9 +265,15 @@ def _check_delta(delta: float, what: str) -> None:
                               f"floating point; got delta = {delta!r}")
 
 
-def _markov_bridge(u: np.ndarray, coef: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """L @ z for the closed-form factor L[k,j] = (1 - u_k) coef_j, j <= k."""
-    return (1.0 - u)[:, None] * np.cumsum(coef[:, None] * z, axis=0)
+def _markov_bridge(u: np.ndarray, coef: np.ndarray, z: np.ndarray,
+                   scale: Optional[np.ndarray] = None) -> np.ndarray:
+    """L @ z for the closed-form factor L[k,j] = (1 - u_k) coef_j, j <= k,
+    rows times ``scale`` when given; one new array in z's memory order,
+    summed and scaled in place."""
+    out = coef[:, None] * z
+    np.cumsum(out, axis=0, out=out)
+    out *= ((1.0 - u) if scale is None else (1.0 - u) * scale)[:, None]
+    return out
 
 
 def _suffix_sums(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -391,21 +402,55 @@ def _dense_factor(pair: PairSpec, u: np.ndarray):
     return factor, jitter_used, frob, np.diag(cross)
 
 
-def iter_bridge_paths(grid: BridgeGrid, n_sim: int, seed: int):
-    """Yield (B^X, B^Y) blocks of shape (m, k), k <= 512, in draw order.
+def _route(grid: BridgeGrid, reads: str):
+    """(normals per draw, map of a (width, k) normal block to the (m, k)
+    block of the process ``reads``).
+
+    A process that is one scaled bridge takes m normals: B^X/h_X on any
+    factor (the dense factor is lower-triangular, so B^X is its leading
+    m x m block times z_x), and Bq = sqrt(2) L z / h for an independent
+    coupling with h_X = h_Y to the bit, or (1/h_X - 1/h_Y) L z for a
+    comonotone one.
+    Bq on a degenerate grid is 0 and takes none. Any other Bq maps 2m
+    normals through ``grid.bridges``.
+    """
+    m, u, factor, h_x, h_y = grid.m, grid.u, grid.factor, grid.h_x, grid.h_y
+    if reads == READS_X:
+        if grid.factor_kind == FACTOR_DENSE:
+            return m, lambda z: np.divide(factor[:m, :m] @ z, h_x[:, None])
+        return m, lambda z: _markov_bridge(u, factor, z, 1.0 / h_x)
+    if grid.degenerate:
+        return 0, lambda z: np.zeros((m, z.shape[1]))
+    if grid.coupling == "comonotone":
+        scale = 1.0 / h_x - 1.0 / h_y
+    elif grid.coupling == "independent" and np.array_equal(h_x, h_y):
+        scale = math.sqrt(2.0) / h_x
+    else:
+        def driving(z):
+            bx, by = grid.bridges(z)
+            return bx / h_x[:, None] - by / h_y[:, None]
+        return 2 * m, driving
+    return m, lambda z: _markov_bridge(u, factor, z, scale)
+
+
+def iter_bridge_paths(grid: BridgeGrid, n_sim: int, seed: int, reads: str):
+    """Yield (paths, block) of the process ``reads`` in draw order: ``paths``
+    of shape (m, k), k <= 512, is the first k columns of ``block``, the
+    (m, 512) array they were mapped in.
 
     Every draw comes from one generator, derive_rng(seed, "draws"), read
-    in row-major order: draw j takes normals 2mj .. 2m(j+1) - 1 of the
-    stream. Every block, the last one zero-padded to 512 draws and then
-    trimmed, goes through ``grid.bridges`` at the same shape, so draw j is
-    bit-identical for every n_sim > j (BLAS products are not bit-stable
-    across column counts).
+    in row-major order at the route's width w (``_route``: m, 2m, or 0 on
+    a degenerate grid): draw j takes normals wj .. w(j+1) - 1 of the
+    stream. Every block, the last one zero-padded to 512 draws, is mapped
+    at the same shape, so draw j is bit-identical for every n_sim > j
+    (BLAS products are not bit-stable across column counts).
     """
+    width, to_paths = _route(grid, reads)
     rng = derive_rng(seed, "draws")
     for start in range(0, n_sim, _BLOCK):
         k = min(_BLOCK, n_sim - start)
-        bx, by = grid.bridges(_normals(rng, k, 2 * grid.m).T)
-        yield bx[:, :k], by[:, :k]
+        block = to_paths(_normals(rng, k, width).T)
+        yield block[:, :k], block
 
 
 def _normals(rng, k: int, width: int) -> np.ndarray:
@@ -417,30 +462,16 @@ def _normals(rng, k: int, width: int) -> np.ndarray:
     return z
 
 
-def _full_block(x: np.ndarray) -> np.ndarray:
-    """x zero-padded to _BLOCK columns in the memory order of the block it
-    was trimmed from (a full block is returned as is)."""
-    if x.shape[1] == _BLOCK:
-        return x
-    out = np.zeros((x.shape[0], _BLOCK), order="F" if x.strides[0] < x.strides[1] else "C")
-    out[:, :x.shape[1]] = x
-    return out
-
-
-def _driving_process(grid: BridgeGrid, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    if grid.degenerate:
-        return np.zeros_like(bx)
-    return bx / grid.h_x[:, None] - by / grid.h_y[:, None]
-
-
-def _collect(grid: BridgeGrid, n_sim: int, seed: int, functional) -> np.ndarray:
-    """functional(B^X, B^Y) of every path block, in draw order; the last
-    block is evaluated zero-padded to full width, like its paths."""
+def _collect(grid: BridgeGrid, n_sim: int, seed: int, reads: str,
+             functional) -> np.ndarray:
+    """functional(block) of every path block of the process ``reads``, in
+    draw order; the last block is reduced zero-padded to full width, like
+    its paths."""
     out = np.empty(n_sim)
     done = 0
-    for bx, by in iter_bridge_paths(grid, n_sim, seed):
-        k = bx.shape[1]
-        out[done:done + k] = functional(_full_block(bx), _full_block(by))[:k]
+    for paths, block in iter_bridge_paths(grid, n_sim, seed, reads):
+        k = paths.shape[1]
+        out[done:done + k] = functional(block)[:k]
         done += k
     return out
 
@@ -519,24 +550,26 @@ def truncated_tail_bound_ED(pair: PairSpec, cost: CostSpec, delta: float) -> flo
 
 
 # ---------------------------------------------------------------------------
-# limit functionals: (pair, cost, grid, p) -> reduction of (B^X, B^Y) blocks
+# limit functionals: (pair, cost, grid, p) -> reduction of one (m, k) block
+# of the process the regime reads
 # ---------------------------------------------------------------------------
 
 def _functional_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
     """pi_- int 1_{Bq<0} |Bq|^{b_-} + pi_+ int 1_{Bq>0} |Bq|^{b_+}."""
     w = grid.weights
 
-    def functional(bx, by):
-        bq = _driving_process(grid, bx, by)
+    def functional(bq):
         absq = np.abs(bq)
-        return (cost.pi_minus * (w @ np.where(bq < 0, absq ** cost.b_minus, 0.0))
-                + cost.pi_plus * (w @ np.where(bq > 0, absq ** cost.b_plus, 0.0)))
+        pow_minus = absq ** cost.b_minus
+        pow_plus = pow_minus if cost.b_plus == cost.b_minus else absq ** cost.b_plus
+        return (cost.pi_minus * (w @ np.where(bq < 0, pow_minus, 0.0))
+                + cost.pi_plus * (w @ np.where(bq > 0, pow_plus, 0.0)))
     return functional
 
 
 def _functional_W2(pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid, p: float):
     """int Bq(u)^2 du."""
-    return lambda bx, by: grid.weights @ (_driving_process(grid, bx, by) ** 2)
+    return lambda bq: grid.weights @ (bq ** 2)
 
 
 def _functional_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
@@ -553,8 +586,7 @@ def _functional_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
     e_mask = pair.partition.mask(grid.u, "E")
     w_e = grid.weights * e_mask
 
-    def functional(bx, by):
-        bq = _driving_process(grid, bx, by)
+    def functional(bq):
         vals = w_d @ bq
         if cost.b == 1.0 and e_mask.any():
             absq = np.abs(bq)
@@ -568,9 +600,9 @@ def _functional_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
 
 def _functional_one_sample(pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid,
                            p: float):
-    """int |B^X(u)/h(u)|^p du for the X marginal, 1 <= p < 2, from the X
-    block of the grid (any coupling: its marginal is a standard bridge)."""
-    return lambda bx, _: grid.weights @ (np.abs(bx / grid.h_x[:, None]) ** p)
+    """int |B^X(u)/h(u)|^p du for the X marginal, 1 <= p < 2 (any coupling:
+    the X marginal is a standard bridge)."""
+    return lambda bx: grid.weights @ (np.abs(bx) ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +613,9 @@ def _functional_one_sample(pair: PairSpec, cost: Optional[CostSpec], grid: Bridg
 class Regime:
     """One limit theorem: whether it ``applies(pair, cost)``, its checker
     ``check(pair, cost, p)``, the ``rate(n, cost, p)`` of the statistic,
-    whether that is ``centred`` at W(F, G), its limit ``functional(pair,
-    cost, grid, p)`` and the ``tail_bound(pair, cost, grid, p)`` on what the
+    whether that is ``centred`` at W(F, G), the process it ``reads``
+    (READS_BQ or READS_X), its limit ``functional(pair, cost, grid, p)`` of
+    that process and the ``tail_bound(pair, cost, grid, p)`` on what the
     delta-clipped grid leaves out; only one_sample reads p."""
 
     label: str
@@ -590,6 +623,7 @@ class Regime:
     check: Callable
     rate: Callable
     centred: bool
+    reads: str
     functional: Callable
     tail_bound: Callable
 
@@ -614,7 +648,8 @@ class Regime:
         that share of the median |draw|, else TruncationError."""
         if n_sim < 1:
             raise ValidationError(f"limit draws require n_sim >= 1; got {n_sim}")
-        values = _collect(grid, n_sim, seed, self.functional(pair, cost, grid, p))
+        values = _collect(grid, n_sim, seed, self.reads,
+                          self.functional(pair, cost, grid, p))
         bound = self.tail_bound(pair, cost, grid, p)
         if tail_frac is not None:
             med = float(np.median(np.abs(values)))
@@ -622,7 +657,8 @@ class Regime:
                 raise TruncationError(
                     f"truncated-tail bound {bound:.3g} exceeds {tail_frac:.0%} of the median "
                     f"draw {med:.3g}; shrink delta below {grid.delta:g} or relax tail_frac")
-        return LimitDraws(values, self.label, grid.summary(), seed, bound)
+        meta = dict(grid.summary(), normals_per_draw=_route(grid, self.reads)[0])
+        return LimitDraws(values, self.label, meta, seed, bound)
 
     def simulate(self, pair: PairSpec, cost: Optional[CostSpec], grid_shape: tuple,
                  n_sim: int, seed: int, tail_frac: Optional[float],
@@ -678,29 +714,32 @@ REGIMES = {r.label: r for r in (
     Regime(THEOREM_EQUAL,
            lambda pair, cost: pair.partition.is_all_E and (_bounded(pair.dist_x)
                                                            or cost.b < 2.0),
-           _check_equal, lambda n, cost, p: rate_vn(cost, n), False, _functional_E,
+           _check_equal, lambda n, cost, p: rate_vn(cost, n), False,
+           READS_BQ, _functional_E,
            lambda pair, cost, grid, p: 0.0 if grid.degenerate
            else truncated_tail_bound_E(pair, cost, grid.delta)),
     Regime(THEOREM_QUADRATIC,
            lambda pair, cost: (pair.partition.is_all_E and not _bounded(pair.dist_x)
                                and _is_quadratic_near_zero(cost)),
            lambda pair, cost, p: check_w2_hypotheses(pair.dist_x),
-           lambda n, cost, p: float(n), False, _functional_W2,
+           lambda n, cost, p: float(n), False, READS_BQ, _functional_W2,
            lambda pair, cost, grid, p: 0.0 if grid.degenerate
            else truncated_tail_bound_W2(pair, grid.delta)),
     Regime(THEOREM_GAUSSIAN,
            lambda pair, cost: pair.partition.has_D and (
                cost.b > 1.0 or (cost.b == 1.0 and pair.partition.is_all_D)),
            lambda pair, cost, p: check_cfg_ed(pair, cost),
-           lambda n, cost, p: math.sqrt(n), True, _functional_ED, _tail_bound_ED),
+           lambda n, cost, p: math.sqrt(n), True,
+           READS_BQ, _functional_ED, _tail_bound_ED),
     Regime(THEOREM_MIXED,
            lambda pair, cost: (pair.partition.has_D and pair.partition.has_E
                                and cost.b == 1.0 and _finite_L0(cost)),
            lambda pair, cost, p: check_cfg_ed(pair, cost),
-           lambda n, cost, p: math.sqrt(n), True, _functional_ED, _tail_bound_ED),
-    # chosen only by its label; reads the X marginal alone
+           lambda n, cost, p: math.sqrt(n), True,
+           READS_BQ, _functional_ED, _tail_bound_ED),
+    # chosen only by its label
     Regime(THEOREM_ONE_SAMPLE, lambda pair, cost: False, _check_one_sample,
-           lambda n, cost, p: n ** (p / 2.0), False, _functional_one_sample,
+           lambda n, cost, p: n ** (p / 2.0), False, READS_X, _functional_one_sample,
            lambda pair, cost, grid, p: truncated_tail_bound_one_sample(pair.dist_x, p,
                                                                        grid.delta)),
 )}

@@ -61,6 +61,10 @@ def test_test_subcommand(data_csv, null_yaml, tmp_path):
     payload = json.loads(out.read_text())
     assert set(payload) >= {"statistic", "scaled_statistic", "p_value", "reject"}
     assert 0.0 < payload["p_value"] <= 1.0
+    # the independent equal null reads one bridge: m normals per draw
+    grid = payload["grid"]
+    assert (grid["rng"], grid["factor"]) == ("stream-v3", "closed-form")
+    assert grid["normals_per_draw"] == grid["m"] == 2047
 
 
 def test_test_subcommand_passes_only_given_flags(data_csv, null_yaml, monkeypatch):
@@ -108,6 +112,7 @@ def test_simulate_limit_subcommand(study_yaml, tmp_path, capsys):
     meta = json.loads((out_dir / "limit_draws.json").read_text())
     assert meta["theorem"] == "equal"
     assert meta["seed"] == 42
+    assert meta["grid"]["normals_per_draw"] == meta["grid"]["m"] == 127
 
 
 def test_study_subcommand_and_determinism(study_yaml, tmp_path, capsys):

@@ -9,14 +9,30 @@ from wcontrast import limitlaw, tails
 from wcontrast.distributions import bvn_cdf
 from wcontrast.errors import HypothesisError, TruncationError, ValidationError
 from wcontrast.harness import ExperimentConfig, run_clt_study
-from wcontrast.limitlaw import (bridge_cov_kernel, grid_mean_oracle_E,
+from wcontrast.limitlaw import (READS_BQ, READS_X, bridge_cov_kernel, grid_mean_oracle_E,
                                 grid_mean_oracle_W2, iter_bridge_paths)
+from wcontrast.seeding import derive_rng
 from wcontrast.tails import quantile_rule
 
 
 @pytest.fixture(scope="module")
 def gauss_grid(gauss_equal_pair):
     return wc.build_bridge_grid(gauss_equal_pair, m=255, delta=1e-4)
+
+
+def _bridge_blocks(grid, n_sim, seed, block=4000):
+    """(B^X, B^Y) of n_sim draws through ``grid.bridges``, ``block`` draws
+    at a time; draw j from normals 2mj .. 2m(j+1) - 1 of
+    derive_rng(seed, "draws")."""
+    rng = derive_rng(seed, "draws")
+    for start in range(0, n_sim, block):
+        z = rng.standard_normal((min(block, n_sim - start), 2 * grid.m))
+        yield grid.bridges(z.T)
+
+
+def _bridges(grid, n_sim, seed):
+    """``_bridge_blocks`` in one block."""
+    return next(_bridge_blocks(grid, n_sim, seed, n_sim))
 
 
 def test_grid_geometry(gauss_grid):
@@ -35,7 +51,7 @@ def test_factor_reproduces_covariance(gauss_grid):
 def test_single_point_grid_variance(gauss_equal_pair):
     grid = wc.build_bridge_grid(gauss_equal_pair, m=1, delta=0.01)
     assert grid.u[0] == 0.5
-    vals = np.concatenate([bx[0] for bx, _ in iter_bridge_paths(grid, 20000, seed=1)])
+    vals = _bridges(grid, 20000, seed=1)[0][0]
     assert vals.var() == pytest.approx(0.25, rel=0.05)
 
 
@@ -82,7 +98,7 @@ def test_summary_records_factor_and_rng(gauss_equal_pair):
                                 (custom_pair, "dense"))}
     for kind, meta in metas.items():
         assert meta["factor"] == kind
-        assert meta["rng"] == "stream-v2"
+        assert meta["rng"] == "stream-v3"
         assert ("rank" in meta) == (kind == "low-rank")
     assert metas["low-rank"]["rank"] == 46
     assert 0.0 < metas["low-rank"]["truncation_bound"] < 1e-16
@@ -182,8 +198,8 @@ def test_default_gaussian_copula_grid_is_low_rank(monkeypatch):
     arrays = [grid.u, grid.factor, grid.h_x, grid.h_y, grid.weights,
               grid.var_bridge_diag, *grid.cross]
     assert max(a.size for a in arrays) <= m * grid.rank
-    for bx, by in iter_bridge_paths(grid, 3, seed=1):
-        assert bx.shape == by.shape == (m, 3)
+    bx, by = _bridges(grid, 3, seed=1)
+    assert bx.shape == by.shape == (m, 3)
 
 
 def test_cross_block_independent_and_comonotone(gauss_equal_pair):
@@ -204,27 +220,20 @@ def test_comonotone_equal_paths_coincide():
     pair = wc.equal_pair(wc.gaussian(), wc.comonotone())
     grid = wc.build_bridge_grid(pair, m=64, delta=1e-3)
     assert grid.degenerate
-    for bx, by in iter_bridge_paths(grid, 50, seed=9):
-        assert np.array_equal(bx, by)
+    bx, by = _bridges(grid, 50, seed=9)
+    assert np.array_equal(bx, by)
 
 
 def test_independent_cross_correlation_near_zero(gauss_equal_pair):
     grid = wc.build_bridge_grid(gauss_equal_pair, m=33, delta=1e-3)
     i = 16   # u = 0.5
-    xs, ys = [], []
-    for bx, by in iter_bridge_paths(grid, 10000, seed=21):
-        xs.append(bx[i])
-        ys.append(by[i])
-    r = np.corrcoef(np.concatenate(xs), np.concatenate(ys))[0, 1]
+    bx, by = _bridges(grid, 10000, seed=21)
+    r = np.corrcoef(bx[i], by[i])[0, 1]
     assert abs(r) <= 0.03
 
 
 def test_marginal_normality_moments(gauss_grid):
-    n_sim = 10000
-    cols = []
-    for bx, _ in iter_bridge_paths(gauss_grid, n_sim, seed=34):
-        cols.append(bx)
-    bx = np.concatenate(cols, axis=1)
+    bx, _ = _bridges(gauss_grid, 10000, seed=34)
     for i in (10, 127, 240):
         u = gauss_grid.u[i]
         vals = bx[i]
@@ -297,8 +306,7 @@ def test_draw_limit_E_symmetric_power_is_plain_integral(gauss_equal_pair):
     cost = wc.power_cost(1.5)
     draws = wc.REGIMES["equal"].draw(gauss_equal_pair, cost, grid, 64, 5, None)
     vals = []
-    for bx, by in iter_bridge_paths(grid, 64, seed=5):
-        bq = bx / grid.h_x[:, None] - by / grid.h_y[:, None]
+    for bq, _ in iter_bridge_paths(grid, 64, 5, READS_BQ):
         vals.append(grid.weights @ np.abs(bq) ** 1.5)
     assert np.allclose(np.concatenate([v for v in vals]), draws.values)
 
@@ -470,8 +478,8 @@ def test_sigma2_monte_carlo_oracle(case, bump_pair_comonotone):
     pair, cost = _sigma2_cases(bump_pair_comonotone)[case]
     grid = wc.build_bridge_grid(pair, m=511, delta=1e-4)
     q = limitlaw._weight_fn(pair, cost, grid.u) * grid.weights
-    samples = limitlaw._collect(grid, 40000, 202406,
-                                lambda bx, by: q @ limitlaw._driving_process(grid, bx, by))
+    samples = np.concatenate([q @ _process(grid, READS_BQ, bx, by)
+                              for bx, by in _bridge_blocks(grid, 40000, 202406)])
     mc_val = float(np.var(samples))
     assert mc_val == pytest.approx(wc.sigma2_D(pair, cost), rel=0.02)
     assert mc_val == pytest.approx(q @ bridge_cov_kernel(pair, grid.u) @ q, rel=0.02)
@@ -582,9 +590,102 @@ def test_draws_reproducible(gauss_equal_pair):
         grid = wc.build_bridge_grid(pair, m=127, delta=1e-4)
         assert grid.factor_kind == kind
         ref = wc.REGIMES["equal"].draw(pair, cost, grid, 1100, 77, None).values
-        ref_paths = np.hstack([bx for bx, _ in iter_bridge_paths(grid, 1100, seed=77)])
+        ref_paths = np.hstack([bq for bq, _ in iter_bridge_paths(grid, 1100, 77, READS_BQ)])
         for n_sim in (1, 37, 600):
             vals = wc.REGIMES["equal"].draw(pair, cost, grid, n_sim, 77, None).values
             assert np.array_equal(vals, ref[:n_sim]), (kind, n_sim)
-            paths = np.hstack([bx for bx, _ in iter_bridge_paths(grid, n_sim, seed=77)])
+            paths = np.hstack([bq for bq, _ in iter_bridge_paths(grid, n_sim, 77, READS_BQ)])
             assert np.array_equal(paths, ref_paths[:, :n_sim]), (kind, n_sim)
+
+
+def _process(grid, reads, bx, by):
+    """The process ``reads`` from the bridge blocks of ``grid.bridges``."""
+    if reads == READS_X:
+        return bx / grid.h_x[:, None]
+    return bx / grid.h_x[:, None] - by / grid.h_y[:, None]
+
+
+def _one_bridge_cases(bump_pair_comonotone):
+    """(pair, cost, regime label, p, factor kind) of each route that draws
+    one scaled bridge from m normals."""
+    gauss, independence = wc.equal_pair(wc.gaussian()), lambda u, v: np.multiply(u, v)
+    return {
+        "equal": (gauss, wc.power_cost(1.5), "equal", 0.0, "closed-form"),
+        "quadratic": (wc.equal_pair(wc.weibull(3.0)), None, "quadratic", 0.0, "closed-form"),
+        "one_sample": (gauss, None, "one_sample", 1.5, "closed-form"),
+        "one_sample dense": (wc.equal_pair(wc.gaussian(), wc.custom_coupling(independence)),
+                             None, "one_sample", 1.5, "dense"),
+        "mixed comonotone": (bump_pair_comonotone, wc.power_cost(1), "mixed", 0.0,
+                             "closed-form"),
+    }
+
+
+@pytest.mark.parametrize("case", ["equal", "quadratic", "one_sample", "one_sample dense",
+                                  "mixed comonotone"])
+def test_one_bridge_draws_keep_the_law(case, bump_pair_comonotone):
+    # draws from m normals each against the same functional of both
+    # bridges from 2m normals through grid.bridges: the two-sample KS
+    # distance stays below its alpha = 1e-3 critical value
+    pair, cost, label, p, kind = _one_bridge_cases(bump_pair_comonotone)[case]
+    grid = wc.build_bridge_grid(pair, m=511, delta=1e-4)
+    assert grid.factor_kind == kind
+    regime, n = wc.REGIMES[label], 20000
+    draws = regime.draw(pair, cost, grid, n, 41, None, p)
+    assert draws.grid_meta["normals_per_draw"] == grid.m
+    functional = regime.functional(pair, cost, grid, p)
+    ref = np.concatenate([functional(_process(grid, regime.reads, bx, by))
+                          for bx, by in _bridge_blocks(grid, n, 42)])
+    crit = math.sqrt(-math.log(1e-3 / 2.0) / 2.0) * math.sqrt(2.0 / n)
+    assert stats.ks_2samp(draws.values, ref).statistic < crit
+
+
+def test_one_bridge_stream(gauss_equal_pair):
+    # independent, h_X = h_Y: draw j is sqrt(2) L z / h, z normals
+    # mj .. m(j+1) - 1 of derive_rng(seed, "draws")
+    grid = wc.build_bridge_grid(gauss_equal_pair, m=127, delta=1e-4)
+    n, cost = 600, wc.power_cost(1.5)
+    z = derive_rng(77, "draws").standard_normal((n, grid.m)).T
+    L = np.tril((1.0 - grid.u)[:, None] * grid.factor[None, :])
+    bq = math.sqrt(2.0) * (L @ z) / grid.h_x[:, None]
+    paths = np.hstack([b for b, _ in iter_bridge_paths(grid, n, 77, READS_BQ)])
+    assert np.allclose(paths, bq, rtol=1e-10, atol=1e-12 * np.max(np.abs(bq)))
+    draws = wc.REGIMES["equal"].draw(gauss_equal_pair, cost, grid, n, 77, None)
+    assert np.allclose(draws.values, grid.weights @ np.abs(bq) ** 1.5, rtol=1e-10)
+    assert draws.grid_meta["normals_per_draw"] == grid.m
+
+
+@pytest.mark.parametrize("case", ["low-rank", "dense", "unequal h"])
+def test_two_bridge_stream(case):
+    # copulas, and independent pairs whose h differ (here in the last bits),
+    # map 2m normals through grid.bridges: draw j reads normals
+    # 2mj .. 2m(j+1) - 1; the one-sample limit still reads m
+    pair, cost, label, kind = {
+        "low-rank": (wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5)),
+                     wc.power_cost(1.5), "equal", "low-rank"),
+        "dense": (wc.equal_pair(wc.gaussian(), wc.custom_coupling(_gauss_copula(0.5))),
+                  wc.power_cost(1.5), "equal", "dense"),
+        "unequal h": (_shift_pair(wc.independent()), wc.power_cost(2), "gaussian",
+                      "closed-form"),
+    }[case]
+    grid = wc.build_bridge_grid(pair, m=127, delta=1e-4)
+    assert grid.factor_kind == kind
+    assert np.array_equal(grid.h_x, grid.h_y) == (case != "unequal h")
+    n = 600
+    bq = _process(grid, READS_BQ, *_bridges(grid, n, 77))
+    paths = np.hstack([b for b, _ in iter_bridge_paths(grid, n, 77, READS_BQ)])
+    assert np.allclose(paths, bq, rtol=1e-10, atol=1e-12 * np.max(np.abs(bq)))
+    regime = wc.REGIMES[label]
+    draws = regime.draw(pair, cost, grid, n, 77, None)
+    assert np.allclose(draws.values, regime.functional(pair, cost, grid, 0.0)(bq),
+                       rtol=1e-10, atol=1e-12)
+    assert draws.grid_meta["normals_per_draw"] == 2 * grid.m
+    one_sample = wc.REGIMES["one_sample"].draw(pair, None, grid, 10, 77, None, p=1.5)
+    assert one_sample.grid_meta["normals_per_draw"] == grid.m
+
+
+def test_degenerate_grid_draws_no_normals():
+    pair = wc.equal_pair(wc.gaussian(), wc.comonotone())
+    grid = wc.build_bridge_grid(pair, m=64, delta=1e-3)
+    draws = wc.REGIMES["equal"].draw(pair, wc.power_cost(1.5), grid, 600, 3, None)
+    assert np.array_equal(draws.values, np.zeros(600))
+    assert draws.grid_meta["normals_per_draw"] == 0

@@ -229,6 +229,28 @@ def test_one_draw_routine():
     assert not found, found
 
 
+def test_collect_draws_only_through_iter_bridge_paths():
+    # limitlaw._collect takes every path block from iter_bridge_paths, looked
+    # up by its module-level name, so a wrapper set on that name sees every
+    # draw; it reduces the blocks and draws nothing itself
+    tree = ast.parse((SRC / "limitlaw.py").read_text(encoding="utf-8"))
+    collect = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_collect")
+    funcs = [node.func for node in ast.walk(collect) if isinstance(node, ast.Call)]
+    assert [f.id for f in funcs if isinstance(f, ast.Name)
+            and f.id == "iter_bridge_paths"] == ["iter_bridge_paths"]
+    called = {f.id if isinstance(f, ast.Name) else f.attr for f in funcs}
+    assert called == {"empty", "iter_bridge_paths", "functional"}, called
+
+
+def test_each_regime_names_the_process_it_reads():
+    # the one-sample limit reads B^X/h_X; every two-sample limit reads Bq
+    reads = {label: regime.reads for label, regime in wc.REGIMES.items()}
+    assert reads == {"equal": limitlaw.READS_BQ, "quadratic": limitlaw.READS_BQ,
+                     "gaussian": limitlaw.READS_BQ, "mixed": limitlaw.READS_BQ,
+                     "one_sample": limitlaw.READS_X}
+
+
 def _names(path):
     """Module-qualified imports, attribute names (qualified by a plain name
     they are read from) and called names of a source file."""
