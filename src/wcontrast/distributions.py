@@ -421,6 +421,21 @@ def weibull(shape: float, scale: float = 1.0) -> DistSpec:
         t = np.asarray(t, dtype=float)
         return math.log(w / scale) + (1.0 - 1.0 / w) * np.log(t) - t
 
+    def left_log_y(t):
+        # log y, y = (x/scale)^w = -log1p(-e^{-t}) at left depth t; past
+        # t = 40, e^{-t} is below rounding against 1 and log y = -t
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            near = np.log(-np.log1p(-np.exp(-np.minimum(t, 40.0))))
+        return np.where(t < 40.0, near, -t)
+
+    def left_tail_q(t):
+        return scale * np.exp(left_log_y(t) / w)
+
+    def left_log_f(t):
+        log_y = left_log_y(t)
+        return math.log(w / scale) + (1.0 - 1.0 / w) * log_y - np.exp(log_y)
+
     return _scaled_law(
         f"weibull({shape:g})", {"family": "weibull", "shape": shape, "scale": scale},
         (0.0, np.inf), 0.0, scale, (w,),
@@ -431,8 +446,8 @@ def weibull(shape: float, scale: float = 1.0) -> DistSpec:
         pdf=lambda z, c: c * pow(z, c - 1) * np.exp(-pow(z, c)),
         log_pdf=lambda z, c: np.log(c) + xlogy(c - 1, z) - pow(z, c),
         density_quantile=density_quantile,
-        tail_quantile_fn={RIGHT: tail_q},
-        log_density_at_depth_fn={RIGHT: log_f},
+        tail_quantile_fn={RIGHT: tail_q, LEFT: left_tail_q},
+        log_density_at_depth_fn={RIGHT: log_f, LEFT: left_log_f},
     )
 
 

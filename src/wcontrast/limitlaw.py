@@ -9,13 +9,17 @@ O(m r) from Mehler's expansion (Gaussian copula) or a dense 2m x 2m
 Cholesky (any other copula, and Gaussian copulas that need more than
 m/2 Mehler terms). Limits are evaluated on a delta-clipped equispaced grid
 by trapezoid quadrature of one path per draw of the one process the
-functional reads (Bq, or B^X/h_X for the one-sample limit), with an
-explicit bound on the truncated tail contribution derived from the edge
-integrability of the relevant functional. ``select_regime`` decides from
-the pair and the cost which limit theorem applies; its ``REGIMES`` table
-gives each theorem's checker, rate, centering, process read, limit
-functional and tail bound. ``Regime.draw`` is the one routine that draws a
-functional; it does not run the checker, ``Regime.gate`` does.
+functional reads (Bq, or B^X/h_X for the one-sample limit). A draw maps m
+normals when that process is one linear map of them (B^X/h_X; Bq of an
+independent or low-rank Gaussian-copula pair with h_X = h_Y, or of a
+comonotone pair) and 2m normals through both bridges otherwise. Each
+limit comes with an explicit bound on the truncated tail contribution
+derived from the edge integrability of the relevant functional.
+``select_regime`` decides from the pair and the cost which limit theorem
+applies; its ``REGIMES`` table gives each theorem's checker, rate,
+centering, process read, limit functional and tail bound. ``Regime.draw``
+is the one routine that draws a functional; it does not run the checker,
+``Regime.gate`` does.
 """
 
 from __future__ import annotations
@@ -60,15 +64,17 @@ _BLOCK = 512               # draws per path block; the last block is zero-padded
 # the dropped cross-covariance tail by 0.19 |rho|^(r+1) / ((r+1)(1-|rho|))
 _CRAMER = 0.19
 _MEHLER_TOL = 1e-16
-# Low-rank sampling costs ~3 m r per draw against 4 m^2 for the dense factor;
-# measured with one BLAS thread, it stays cheaper up to r ~ m/2 at m = 255
-# and 511 (and up to r ~ m at m = 1023 and 2047), so ranks above m/2 go dense.
+# A low-rank draw costs ~2 m r flops and m normals when h_X = h_Y (~4 m r
+# and 2m normals otherwise) against 4 m^2 flops for the dense factor; measured
+# with one BLAS thread on the 2m route, low rank stayed cheaper up to r ~ m/2
+# at m = 255 and 511 (and up to r ~ m at m = 1023 and 2047), so ranks above
+# m/2 go dense.
 _MAX_RANK_FRACTION = 0.5
 
 FACTOR_CLOSED_FORM = "closed-form"   # O(m) factor, independent / comonotone
 FACTOR_LOW_RANK = "low-rank"         # O(m r) Mehler factor, Gaussian copula
 FACTOR_DENSE = "dense"               # 2m x 2m Cholesky, general copulas
-RNG_SCHEME = "stream-v3"             # one derive_rng(seed, "draws") stream per call
+RNG_SCHEME = "stream-v4"             # one derive_rng(seed, "draws") stream per call
 
 READS_BQ = "Bq"          # the driving process B^X/h_X - B^Y/h_Y
 READS_X = "B^X/h_X"      # the X bridge alone, scaled by its density-quantile
@@ -95,6 +101,9 @@ class BridgeGrid:
       c = 1 - sqrt(1 - s^2). U diag(s) U^T is L^{-1} A diag(rho^(k+1)) A^T
       L^{-T} for the first ``rank`` Mehler features A of C(u,v) - uv; with
       rank 0 (rho = 0) ``cross`` is None and B^Y takes its own normals.
+      When h_X = h_Y, Bq = sqrt(2)/h L(z - U(c1 * U^T z)) from m normals
+      z, c1 = 1 - sqrt(1 - s): (I - U c1 U^T)^2 = I - U s U^T, so its
+      covariance 2 L(I - U s U^T) L^T / h^2 is that of (B^X - B^Y)/h.
     - dense (any other copula, or a Gaussian copula needing more than m/2
       Mehler terms): ``factor`` is the lower-triangular Cholesky factor of
       the 2m x 2m joint covariance; only this kind applies ``jitter``.
@@ -135,7 +144,7 @@ class BridgeGrid:
     def bridges(self, z: np.ndarray):
         """Map standard normals z of shape (2m, k) to the bridge blocks
         (B^X, B^Y), each of shape (m, k): the joint generator, which draws
-        use where Bq is not one scaled bridge (``_route``)."""
+        of Bq use on dense grids and where h_X and h_Y differ (``_route``)."""
         m = self.m
         if self.factor_kind == FACTOR_DENSE:
             paths = self.factor @ z
@@ -406,13 +415,15 @@ def _route(grid: BridgeGrid, reads: str):
     """(normals per draw, map of a (width, k) normal block to the (m, k)
     block of the process ``reads``).
 
-    A process that is one scaled bridge takes m normals: B^X/h_X on any
+    A process that is one linear map of m normals takes m: B^X/h_X on any
     factor (the dense factor is lower-triangular, so B^X is its leading
-    m x m block times z_x), and Bq = sqrt(2) L z / h for an independent
-    coupling with h_X = h_Y to the bit, or (1/h_X - 1/h_Y) L z for a
-    comonotone one.
-    Bq on a degenerate grid is 0 and takes none. Any other Bq maps 2m
-    normals through ``grid.bridges``.
+    m x m block times z_x); Bq = (1/h_X - 1/h_Y) L z for a comonotone
+    coupling; and, when h_X = h_Y to the bit on a closed-form or low-rank
+    grid, Bq = sqrt(2)/h L(z - U(c1 * U^T z)), (U, s, .) = grid.cross and
+    c1 = 1 - sqrt(1 - s), which is sqrt(2) L z / h for an independent
+    pair and rho = 0 (rank 0, no U).
+    Bq on a degenerate grid is 0 and takes none. Any other Bq (dense
+    grids, unequal h) maps 2m normals through ``grid.bridges``.
     """
     m, u, factor, h_x, h_y = grid.m, grid.u, grid.factor, grid.h_x, grid.h_y
     if reads == READS_X:
@@ -423,8 +434,18 @@ def _route(grid: BridgeGrid, reads: str):
         return 0, lambda z: np.zeros((m, z.shape[1]))
     if grid.coupling == "comonotone":
         scale = 1.0 / h_x - 1.0 / h_y
-    elif grid.coupling == "independent" and np.array_equal(h_x, h_y):
+    elif grid.factor_kind != FACTOR_DENSE and np.array_equal(h_x, h_y):
         scale = math.sqrt(2.0) / h_x
+        if grid.cross is not None:
+            U, s, _ = grid.cross
+            c1 = s / (1.0 + np.sqrt(1.0 - s))   # 1 - sqrt(1 - s) without cancellation
+
+            def driving(z):
+                # z - U (c1 * U^T z), formed as its (k, m) transpose so that
+                # the block keeps z's column-major order for the cumsum
+                y = ((z.T @ U) * c1) @ U.T
+                return _markov_bridge(u, factor, np.subtract(z, y.T, out=y.T), scale)
+            return m, driving
     else:
         def driving(z):
             bx, by = grid.bridges(z)
@@ -439,11 +460,12 @@ def iter_bridge_paths(grid: BridgeGrid, n_sim: int, seed: int, reads: str):
     (m, 512) array they were mapped in.
 
     Every draw comes from one generator, derive_rng(seed, "draws"), read
-    in row-major order at the route's width w (``_route``: m, 2m, or 0 on
-    a degenerate grid): draw j takes normals wj .. w(j+1) - 1 of the
-    stream. Every block, the last one zero-padded to 512 draws, is mapped
-    at the same shape, so draw j is bit-identical for every n_sim > j
-    (BLAS products are not bit-stable across column counts).
+    in row-major order at the route's width w (``_route``: m where the
+    process is one linear map of m normals, 2m where it needs both
+    bridges, 0 on a degenerate grid): draw j takes normals wj .. w(j+1) - 1
+    of the stream. Every block, the last one zero-padded to 512 draws, is
+    mapped at the same shape, so draw j is bit-identical for every
+    n_sim > j (BLAS products are not bit-stable across column counts).
     """
     width, to_paths = _route(grid, reads)
     rng = derive_rng(seed, "draws")
@@ -560,10 +582,14 @@ def _functional_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
 
     def functional(bq):
         absq = np.abs(bq)
-        pow_minus = absq ** cost.b_minus
-        pow_plus = pow_minus if cost.b_plus == cost.b_minus else absq ** cost.b_plus
-        return (cost.pi_minus * (w @ np.where(bq < 0, pow_minus, 0.0))
-                + cost.pi_plus * (w @ np.where(bq > 0, pow_plus, 0.0)))
+        if cost.b_plus != cost.b_minus:
+            return (cost.pi_minus * (w @ np.where(bq < 0, absq ** cost.b_minus, 0.0))
+                    + cost.pi_plus * (w @ np.where(bq > 0, absq ** cost.b_plus, 0.0)))
+        # one power array, masked in place: bit-identical to the np.where form
+        absq **= cost.b_minus
+        minus = w @ (absq * (bq < 0))
+        absq *= bq > 0
+        return cost.pi_minus * minus + cost.pi_plus * (w @ absq)
     return functional
 
 

@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import betaln
 
 import wcontrast as wc
-from wcontrast.distributions import bvn_cdf, dist_from_scipy
+from wcontrast.distributions import _invert_log_tail, bvn_cdf, dist_from_scipy
 from wcontrast.errors import DomainError, ValidationError
 
 
@@ -88,6 +88,21 @@ def test_gaussian_tail_hooks_match_bisection(loc, scale):
                            generic.log_density_at_depth(side, ts), rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("shape,scale", [(3.0, 1.0), (1.5, 1.0), (1.0, 2.0)])
+def test_weibull_left_tail_hooks_match_bisection(shape, scale):
+    # the closed-form left hooks against the generic bisection on the same
+    # law's log cdf, to the depth where the position leaves the normal doubles
+    dist = wc.weibull(shape, scale)
+    ts = np.geomspace(1e-3, 700.0, 300)
+    x_ref = _invert_log_tail(dist, "-", ts)
+    assert np.allclose(dist.tail_quantile("-", ts), x_ref, rtol=1e-12, atol=0)
+    assert np.allclose(dist.log_density_at_depth("-", ts), dist.log_density(x_ref),
+                       rtol=1e-12, atol=0)
+    deep = np.array([1e3, 1e5, 1e6])
+    assert np.all(np.isfinite(dist.tail_quantile("-", deep)))
+    assert np.all(np.isfinite(dist.log_density_at_depth("-", deep)))
+
+
 def test_warped_gaussian_tail_hooks_match_bisection():
     # the base hooks carry over, moved by the warp at depths whose tail mass
     # falls in the warp region (t in (0.69, 1.61) on the left here)
@@ -143,11 +158,13 @@ def _weibull3_left(t):
 @pytest.mark.parametrize("dist,position,log_density", [
     (dist_from_scipy("beta(2,2)", stats.beta(2, 2)), _beta22_left,
      lambda x: np.log(6 * x * (1 - x))),
-    (wc.weibull(3.0), _weibull3_left, lambda x: np.log(3 * x ** 2) - x ** 3),
+    (dist_from_scipy("weibull(3)", stats.weibull_min(3.0)), _weibull3_left,
+     lambda x: np.log(3 * x ** 2) - x ** 3),
 ], ids=["beta(2,2)", "weibull(3)"])
 def test_generic_left_tail_keeps_every_digit(dist, position, log_density):
     # hook-free inversion on a bounded side: positions far below 1e-33
-    # (down to 1e-131 at t = 600) come out to rounding
+    # (down to 1e-131 at t = 600) come out to rounding; wc.weibull has
+    # closed-form left hooks, so the Weibull law here comes from scipy
     assert "-" not in dist.tail_quantile_fn and "-" not in dist.log_density_at_depth_fn
     x = position(TAIL_DEPTHS)
     assert np.allclose(dist.tail_quantile("-", TAIL_DEPTHS), x, rtol=1e-12, atol=0)

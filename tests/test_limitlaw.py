@@ -93,13 +93,17 @@ def test_closed_form_paths_equal_dense_cholesky(m, which, gauss_equal_pair,
 def test_summary_records_factor_and_rng(gauss_equal_pair):
     copula_pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5))
     custom_pair = wc.equal_pair(wc.gaussian(), wc.custom_coupling(_gauss_copula(0.5)))
-    metas = {kind: wc.build_bridge_grid(pair, m=128, delta=1e-3).summary()
-             for pair, kind in ((gauss_equal_pair, "closed-form"), (copula_pair, "low-rank"),
-                                (custom_pair, "dense"))}
-    for kind, meta in metas.items():
+    metas = {}
+    for pair, kind in ((gauss_equal_pair, "closed-form"), (copula_pair, "low-rank"),
+                       (custom_pair, "dense")):
+        grid = wc.build_bridge_grid(pair, m=128, delta=1e-3)
+        meta = metas[kind] = grid.summary()
         assert meta["factor"] == kind
-        assert meta["rng"] == "stream-v3"
+        assert meta["rng"] == "stream-v4"
         assert ("rank" in meta) == (kind == "low-rank")
+        # h_X = h_Y: closed-form and low-rank Bq draws read m normals, dense 2m
+        draws = wc.REGIMES["equal"].draw(pair, wc.power_cost(1.5), grid, 10, 0, None)
+        assert draws.grid_meta["normals_per_draw"] == (256 if kind == "dense" else 128)
     assert metas["low-rank"]["rank"] == 46
     assert 0.0 < metas["low-rank"]["truncation_bound"] < 1e-16
 
@@ -617,11 +621,16 @@ def _one_bridge_cases(bump_pair_comonotone):
                              None, "one_sample", 1.5, "dense"),
         "mixed comonotone": (bump_pair_comonotone, wc.power_cost(1), "mixed", 0.0,
                              "closed-form"),
+        "equal copula 0.5": (wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5)),
+                             wc.power_cost(1.5), "equal", 0.0, "low-rank"),
+        "equal copula -0.5": (wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(-0.5)),
+                              wc.power_cost(1.5), "equal", 0.0, "low-rank"),
     }
 
 
 @pytest.mark.parametrize("case", ["equal", "quadratic", "one_sample", "one_sample dense",
-                                  "mixed comonotone"])
+                                  "mixed comonotone", "equal copula 0.5",
+                                  "equal copula -0.5"])
 def test_one_bridge_draws_keep_the_law(case, bump_pair_comonotone):
     # draws from m normals each against the same functional of both
     # bridges from 2m normals through grid.bridges: the two-sample KS
@@ -654,14 +663,36 @@ def test_one_bridge_stream(gauss_equal_pair):
     assert draws.grid_meta["normals_per_draw"] == grid.m
 
 
+def test_one_bridge_copula_stream():
+    # Gaussian copula, h_X = h_Y: draw j is sqrt(2)/h L(z - U(c1 * U^T z)),
+    # c1 = 1 - sqrt(1 - s), z normals mj .. m(j+1) - 1 of
+    # derive_rng(seed, "draws")
+    pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5))
+    grid = wc.build_bridge_grid(pair, m=127, delta=1e-4)
+    assert (grid.factor_kind, grid.rank) == ("low-rank", 46)
+    n, cost = 600, wc.power_cost(1.5)
+    U, s, _ = grid.cross
+    c1 = 1.0 - np.sqrt(1.0 - s)
+    z = derive_rng(77, "draws").standard_normal((n, grid.m)).T
+    L = np.tril((1.0 - grid.u)[:, None] * grid.factor[None, :])
+    bq = math.sqrt(2.0) * (L @ (z - U @ (c1[:, None] * (U.T @ z)))) / grid.h_x[:, None]
+    paths = np.hstack([b for b, _ in iter_bridge_paths(grid, n, 77, READS_BQ)])
+    assert np.allclose(paths, bq, rtol=1e-10, atol=1e-12 * np.max(np.abs(bq)))
+    draws = wc.REGIMES["equal"].draw(pair, cost, grid, n, 77, None)
+    assert np.allclose(draws.values, grid.weights @ np.abs(bq) ** 1.5, rtol=1e-10)
+    assert draws.grid_meta["normals_per_draw"] == grid.m
+
+
 @pytest.mark.parametrize("case", ["low-rank", "dense", "unequal h"])
 def test_two_bridge_stream(case):
-    # copulas, and independent pairs whose h differ (here in the last bits),
-    # map 2m normals through grid.bridges: draw j reads normals
+    # dense grids, and pairs whose h differ (N(0,1) vs N(0,2) under a
+    # Gaussian copula; the independent shift pair, in the last bits), map
+    # 2m normals through grid.bridges: draw j reads normals
     # 2mj .. 2m(j+1) - 1; the one-sample limit still reads m
     pair, cost, label, kind = {
-        "low-rank": (wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5)),
-                     wc.power_cost(1.5), "equal", "low-rank"),
+        "low-rank": (wc.make_pair(wc.gaussian(0, 1), wc.gaussian(0, 2),
+                                  wc.gaussian_coupling(0.5)),
+                     wc.power_cost(2), "gaussian", "low-rank"),
         "dense": (wc.equal_pair(wc.gaussian(), wc.custom_coupling(_gauss_copula(0.5))),
                   wc.power_cost(1.5), "equal", "dense"),
         "unequal h": (_shift_pair(wc.independent()), wc.power_cost(2), "gaussian",
@@ -669,7 +700,7 @@ def test_two_bridge_stream(case):
     }[case]
     grid = wc.build_bridge_grid(pair, m=127, delta=1e-4)
     assert grid.factor_kind == kind
-    assert np.array_equal(grid.h_x, grid.h_y) == (case != "unequal h")
+    assert np.array_equal(grid.h_x, grid.h_y) == (case == "dense")
     n = 600
     bq = _process(grid, READS_BQ, *_bridges(grid, n, 77))
     paths = np.hstack([b for b, _ in iter_bridge_paths(grid, n, 77, READS_BQ)])
@@ -681,6 +712,23 @@ def test_two_bridge_stream(case):
     assert draws.grid_meta["normals_per_draw"] == 2 * grid.m
     one_sample = wc.REGIMES["one_sample"].draw(pair, None, grid, 10, 77, None, p=1.5)
     assert one_sample.grid_meta["normals_per_draw"] == grid.m
+
+
+def test_functional_E_equal_exponents_match_where_form(gauss_grid, gauss_equal_pair):
+    # b_- = b_+ masks one power array in place; bit for bit the np.where
+    # form, on a block with exact zeros of both signs
+    bq = np.random.default_rng(5).standard_normal((gauss_grid.m, 64))
+    bq[::7, ::3] = 0.0
+    bq[3, 1::5] = -0.0
+    w = gauss_grid.weights
+    for cost in (wc.power_cost(1.0), wc.power_cost(1.5), wc.power_cost(2.0),
+                 wc.asymmetric_power_cost((0.5, 2.0), (1.5, 1.5))):
+        assert cost.b_minus == cost.b_plus
+        absq = np.abs(bq)
+        ref = (cost.pi_minus * (w @ np.where(bq < 0, absq ** cost.b_minus, 0.0))
+               + cost.pi_plus * (w @ np.where(bq > 0, absq ** cost.b_plus, 0.0)))
+        got = limitlaw._functional_E(gauss_equal_pair, cost, gauss_grid, 0.0)(bq)
+        assert np.array_equal(got, ref), cost.name
 
 
 def test_degenerate_grid_draws_no_normals():
