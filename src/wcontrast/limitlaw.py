@@ -581,15 +581,14 @@ def _functional_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
     w = grid.weights
 
     def functional(bq):
+        # powers masked in place, sharing one array when b_- = b_+; on finite
+        # values bit-identical to w @ np.where(bq < 0, |bq|^{b_-}, 0) etc.
         absq = np.abs(bq)
-        if cost.b_plus != cost.b_minus:
-            return (cost.pi_minus * (w @ np.where(bq < 0, absq ** cost.b_minus, 0.0))
-                    + cost.pi_plus * (w @ np.where(bq > 0, absq ** cost.b_plus, 0.0)))
-        # one power array, masked in place: bit-identical to the np.where form
+        pow_plus = absq if cost.b_plus == cost.b_minus else absq ** cost.b_plus
         absq **= cost.b_minus
         minus = w @ (absq * (bq < 0))
-        absq *= bq > 0
-        return cost.pi_minus * minus + cost.pi_plus * (w @ absq)
+        pow_plus *= bq > 0
+        return cost.pi_minus * minus + cost.pi_plus * (w @ pow_plus)
     return functional
 
 

@@ -714,16 +714,17 @@ def test_two_bridge_stream(case):
     assert one_sample.grid_meta["normals_per_draw"] == grid.m
 
 
-def test_functional_E_equal_exponents_match_where_form(gauss_grid, gauss_equal_pair):
-    # b_- = b_+ masks one power array in place; bit for bit the np.where
-    # form, on a block with exact zeros of both signs
+def test_functional_E_matches_where_form(gauss_grid, gauss_equal_pair):
+    # the powers are masked in place (one shared array when b_- = b_+); bit
+    # for bit the np.where form, on a block with exact zeros of both signs
     bq = np.random.default_rng(5).standard_normal((gauss_grid.m, 64))
     bq[::7, ::3] = 0.0
     bq[3, 1::5] = -0.0
     w = gauss_grid.weights
     for cost in (wc.power_cost(1.0), wc.power_cost(1.5), wc.power_cost(2.0),
-                 wc.asymmetric_power_cost((0.5, 2.0), (1.5, 1.5))):
-        assert cost.b_minus == cost.b_plus
+                 wc.asymmetric_power_cost((0.5, 2.0), (1.5, 1.5)),
+                 wc.asymmetric_power_cost((1.0, 2.0), (1.0, 2.0)),
+                 wc.asymmetric_power_cost((0.5, 2.0), (2.5, 1.0))):
         absq = np.abs(bq)
         ref = (cost.pi_minus * (w @ np.where(bq < 0, absq ** cost.b_minus, 0.0))
                + cost.pi_plus * (w @ np.where(bq > 0, absq ** cost.b_plus, 0.0)))
