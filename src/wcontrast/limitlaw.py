@@ -4,15 +4,16 @@ The joint Gaussian process has per-marginal Brownian-bridge covariance
 ``min(u,v) - uv`` and cross covariance ``C(u,v) - uv`` where ``C`` is the
 copula of the pair; the driving process is ``Bq(u) = B^X(u)/h_X(u) -
 B^Y(u)/h_Y(u)``. ``build_bridge_grid`` factorizes that joint covariance in
-one of three ways: closed-form O(m) (independent, comonotone), low-rank
-O(m r) from Mehler's expansion (Gaussian copula) or a dense 2m x 2m
-Cholesky (any other copula, and Gaussian copulas that need more than
-m/2 Mehler terms). Limits are evaluated on a delta-clipped equispaced grid
+one of two ways: the closed-form O(m) Markov factor L of each bridge
+(independent, comonotone), or that L plus a truncated cross map
+U diag(s) W^T of rank r <= m (every other copula), built from Mehler's
+expansion (Gaussian copula of Cramer rank <= m) or by whitening the m x m
+copula kernel. Limits are evaluated on a delta-clipped equispaced grid
 by trapezoid quadrature of one path per draw of the one process the
 functional reads (Bq, or B^X/h_X for the one-sample limit). A draw maps m
-normals when that process is one linear map of them (B^X/h_X; Bq of an
-independent or low-rank Gaussian-copula pair with h_X = h_Y, or of a
-comonotone pair) and 2m normals through both bridges otherwise. Each
+normals when that process is one linear map of them (B^X/h_X; Bq of a
+comonotone pair, or of a pair with h_X = h_Y whose cross map is symmetric,
+W = U) and 2m normals through both bridges otherwise. Each
 limit comes with an explicit bound on the truncated tail contribution
 derived from the edge integrability of the relevant functional.
 ``select_regime`` decides from the pair and the cost which limit theorem
@@ -54,7 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (2047, 1e-4)       # (m, delta) of the bridge grid
-_JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 _FROBENIUS_RTOL = 1e-6
 _DEGENERATE_VAR = 1e-12
 _PROBE_SEED = 0            # fixed probe vectors of the factor residuals
@@ -64,17 +64,13 @@ _BLOCK = 512               # draws per path block; the last block is zero-padded
 # the dropped cross-covariance tail by 0.19 |rho|^(r+1) / ((r+1)(1-|rho|))
 _CRAMER = 0.19
 _MEHLER_TOL = 1e-16
-# A low-rank draw costs ~2 m r flops and m normals when h_X = h_Y (~4 m r
-# and 2m normals otherwise) against 4 m^2 flops for the dense factor; measured
-# with one BLAS thread on the 2m route, low rank stayed cheaper up to r ~ m/2
-# at m = 255 and 511 (and up to r ~ m at m = 1023 and 2047), so ranks above
-# m/2 go dense.
-_MAX_RANK_FRACTION = 0.5
+_CROSS_TOL = 1e-10         # cross-map singular values kept: |s| > _CROSS_TOL max |s|
+_UNIT_TOL = _FROBENIUS_RTOL  # |s| up to 1 + _UNIT_TOL is rounding, clamped to 1
+_SYMMETRY_RTOL = 1e-12     # a copula kernel this close to its transpose is symmetric
 
 FACTOR_CLOSED_FORM = "closed-form"   # O(m) factor, independent / comonotone
-FACTOR_LOW_RANK = "low-rank"         # O(m r) Mehler factor, Gaussian copula
-FACTOR_DENSE = "dense"               # 2m x 2m Cholesky, general copulas
-RNG_SCHEME = "stream-v4"             # one derive_rng(seed, "draws") stream per call
+FACTOR_LOW_RANK = "low-rank"         # the same factor plus a rank-r cross map
+RNG_SCHEME = "stream-v5"             # one derive_rng(seed, "draws") stream per call
 
 READS_BQ = "Bq"          # the driving process B^X/h_X - B^Y/h_Y
 READS_X = "B^X/h_X"      # the X bridge alone, scaled by its density-quantile
@@ -90,47 +86,45 @@ THEOREM_ONE_SAMPLE = "one_sample"  # single marginal against its own law
 class BridgeGrid:
     """Factorized joint covariance of the two bridges on a clipped grid.
 
-    Three factor kinds:
+    ``factor`` holds ``coef`` of the Cholesky factor of the bridge kernel
+    K(u,v) = min(u,v) - uv, L[k,j] = (1 - u_k) coef_j for j <= k, and
+    B^X = L z_x. Two factor kinds:
 
-    - closed-form (independent, comonotone): ``factor`` holds ``coef`` of
-      the Cholesky factor of the bridge kernel K(u,v) = min(u,v) - uv,
-      L[k,j] = (1 - u_k) coef_j for j <= k. The Y bridge has its own
+    - closed-form (independent, comonotone): B^Y = L z_y with its own
       normals (independent) or is the X bridge itself (comonotone).
-    - low-rank (Gaussian copula): the same ``coef``, and ``cross`` = (U, s,
-      c) with B^X = L z_x and B^Y = L(z_y + U(s * U^T z_x - c * U^T z_y)),
-      c = 1 - sqrt(1 - s^2). U diag(s) U^T is L^{-1} A diag(rho^(k+1)) A^T
-      L^{-T} for the first ``rank`` Mehler features A of C(u,v) - uv; with
-      rank 0 (rho = 0) ``cross`` is None and B^Y takes its own normals.
-      When h_X = h_Y, Bq = sqrt(2)/h L(z - U(c1 * U^T z)) from m normals
-      z, c1 = 1 - sqrt(1 - s): (I - U c1 U^T)^2 = I - U s U^T, so its
-      covariance 2 L(I - U s U^T) L^T / h^2 is that of (B^X - B^Y)/h.
-    - dense (any other copula, or a Gaussian copula needing more than m/2
-      Mehler terms): ``factor`` is the lower-triangular Cholesky factor of
-      the 2m x 2m joint covariance; only this kind applies ``jitter``.
+    - low-rank (every other copula): ``cross`` = (U, s, W, c), the whitened
+      cross map L^{-1}(C(u,v) - uv)L^{-T} = U diag(s) W^T truncated at
+      |s| > 1e-10 max |s|, with c = 1 - sqrt(1 - s^2), and
+      B^Y = L(z_y + W(s * U^T z_x - c * W^T z_y)). W is U when the map is
+      symmetric (Mehler features of a Gaussian copula, or a symmetric
+      copula kernel); then, when h_X = h_Y, Bq = sqrt(2)/h L(z - U(c1 *
+      U^T z)) from m normals z, c1 = 1 - sqrt(1 - s): (I - U c1 U^T)^2 =
+      I - U s U^T, so its covariance 2 L(I - U s U^T) L^T / h^2 is that of
+      (B^X - B^Y)/h. With no value kept (rho = 0) ``cross`` is None and
+      B^Y takes its own normals.
 
-    ``frobenius_rel_err`` is the Frobenius residual of the dense factor, and
-    for the other kinds the largest residual on fixed probe vectors x of
-    L L^T x against K x and (low-rank) of the cross block against
-    A diag(rho^(k+1)) A^T x. Gaussian-copula grids record ``rank``, the
-    columns of their cross factor (m when dense), and ``truncation_bound``,
-    the bound on every entry of the dropped Mehler tail (0 when dense).
+    ``frobenius_rel_err`` is the probe residual: the largest relative
+    residual on fixed probe vectors x of L L^T x against K x and of the
+    rebuilt cross block against (C - uv) x (Mehler: A diag(rho^(k+1)) A^T x).
+    Copula grids record ``rank``, the columns kept in ``cross``; a grid
+    built from Mehler features records ``truncation_bound``, the Cramer
+    bound on every entry of the dropped Mehler tail.
     """
 
     u: np.ndarray
     delta: float
-    factor: np.ndarray           # closed-form, low-rank: coef, shape (m,); dense: (2m, 2m)
-    factor_kind: str             # FACTOR_CLOSED_FORM | FACTOR_LOW_RANK | FACTOR_DENSE
+    factor: np.ndarray           # coef of L, shape (m,)
+    factor_kind: str             # FACTOR_CLOSED_FORM | FACTOR_LOW_RANK
     coupling: str
-    jitter: float
     h_x: np.ndarray
     h_y: np.ndarray
     weights: np.ndarray          # trapezoid weights on the grid
-    var_bridge_diag: np.ndarray  # Var(Bq(u)) from the exact, pre-jitter covariance
+    var_bridge_diag: np.ndarray  # Var(Bq(u)) from the exact covariance
     frobenius_rel_err: float
     pair_fingerprint: str
-    cross: Optional[tuple] = None             # low-rank: (U, s, c)
-    rank: Optional[int] = None                # Gaussian copula only
-    truncation_bound: Optional[float] = None  # Gaussian copula only
+    cross: Optional[tuple] = None             # low-rank: (U, s, W, c)
+    rank: Optional[int] = None                # copula grids only
+    truncation_bound: Optional[float] = None  # Mehler-built grids only
 
     @property
     def m(self) -> int:
@@ -144,18 +138,15 @@ class BridgeGrid:
     def bridges(self, z: np.ndarray):
         """Map standard normals z of shape (2m, k) to the bridge blocks
         (B^X, B^Y), each of shape (m, k): the joint generator, which draws
-        of Bq use on dense grids and where h_X and h_Y differ (``_route``)."""
+        of Bq use where h_X and h_Y differ or W is not U (``_route``)."""
         m = self.m
-        if self.factor_kind == FACTOR_DENSE:
-            paths = self.factor @ z
-            return paths[:m], paths[m:]
         zx, zy = z[:m], z[m:]
         bx = _markov_bridge(self.u, self.factor, zx)
         if self.coupling == "comonotone":
             return bx, bx
         if self.cross is not None:
-            U, s, c = self.cross
-            zy = zy + U @ (s[:, None] * (U.T @ zx) - c[:, None] * (U.T @ zy))
+            U, s, W, c = self.cross
+            zy = zy + W @ (s[:, None] * (U.T @ zx) - c[:, None] * (W.T @ zy))
         return bx, _markov_bridge(self.u, self.factor, zy)
 
     def summary(self) -> dict:
@@ -164,13 +155,14 @@ class BridgeGrid:
             "delta": self.delta,
             "factor": self.factor_kind,
             "rng": RNG_SCHEME,
-            "jitter": self.jitter,
             "frobenius_rel_err": self.frobenius_rel_err,
             "degenerate": self.degenerate,
             "pair": self.pair_fingerprint,
         }
         if self.rank is not None:
-            meta.update(rank=self.rank, truncation_bound=self.truncation_bound)
+            meta["rank"] = self.rank
+        if self.truncation_bound is not None:
+            meta["truncation_bound"] = self.truncation_bound
         return meta
 
 
@@ -203,15 +195,13 @@ def build_bridge_grid(pair: PairSpec, m: int = DEFAULT_GRID[0],
     """Factorize the joint covariance of the two bridges on the
     delta-clipped equispaced grid.
 
-    Independent and comonotone couplings get the closed-form O(m) factor
-    of the bridge kernel, checked by a probe residual. A Gaussian copula
-    adds to it the low-rank cross factor of the smallest Mehler rank r
-    whose truncation bound is below 1e-16, checked by a probe residual of
-    the cross block and by the validity condition max s^2 <= 1, when r is
-    at most m/2. Any other copula, and a Gaussian one needing a larger
-    rank, assembles and factorizes the 2m x 2m joint covariance,
-    escalating diagonal jitter (0, 1e-12, 1e-10, 1e-8) until the Cholesky
-    factorization succeeds, and checks it by its Frobenius residual.
+    Every coupling gets the closed-form O(m) factor of the bridge kernel,
+    checked by a probe residual. Every coupling but the independent and
+    comonotone ones adds to it the cross map of ``_cross_map``: from the
+    Mehler features of the smallest rank whose Cramer bound is below 1e-16
+    (a Gaussian copula, when that rank is at most m), or else from the
+    whitened m x m copula kernel; it is checked by a probe residual of the
+    cross block and by the validity condition max |s| <= 1.
     """
     if m < 1:
         raise ValidationError("bridge grid requires m >= 1")
@@ -228,25 +218,15 @@ def build_bridge_grid(pair: PairSpec, m: int = DEFAULT_GRID[0],
     kind = pair.coupling.kind
     diag_k = u - u * u
     cross = rank = bound = None
-    jitter_used = 0.0
-    if kind == "gaussian":
-        rank, bound = _mehler_rank(pair.coupling.rho, int(_MAX_RANK_FRACTION * m))
+    factor, resid = _closed_form_factor(u)
     if kind in ("independent", "comonotone"):
         factor_kind = FACTOR_CLOSED_FORM
-        factor, resid = _closed_form_factor(u)
         cross_diag = diag_k if kind == "comonotone" else np.zeros(m)
-    elif rank is not None:
-        factor_kind = FACTOR_LOW_RANK
-        factor, resid = _closed_form_factor(u)
-        if rank:
-            cross, cross_resid = _low_rank_cross(u, factor, pair.coupling.rho, rank)
-            resid = max(resid, cross_resid)
-        cross_diag = pair.coupling.copula(u, u) - u * u
     else:
-        factor_kind = FACTOR_DENSE
-        factor, jitter_used, resid, cross_diag = _dense_factor(pair, u)
-        if kind == "gaussian":
-            rank, bound = m, 0.0
+        factor_kind = FACTOR_LOW_RANK
+        cross, cross_resid, cross_diag, bound = _cross_map(pair.coupling, u, factor)
+        resid = max(resid, cross_resid)
+        rank = 0 if cross is None else len(cross[1])
 
     if m >= 2:
         step = u[1] - u[0]
@@ -258,7 +238,7 @@ def build_bridge_grid(pair: PairSpec, m: int = DEFAULT_GRID[0],
     var_diag = diag_k / h_x ** 2 + diag_k / h_y ** 2 - 2.0 * cross_diag / (h_x * h_y)
     return BridgeGrid(
         u=u, delta=delta, factor=factor, factor_kind=factor_kind, coupling=kind,
-        jitter=jitter_used, h_x=h_x, h_y=h_y, weights=weights,
+        h_x=h_x, h_y=h_y, weights=weights,
         var_bridge_diag=np.maximum(var_diag, 0.0),
         frobenius_rel_err=resid,
         pair_fingerprint=pair.fingerprint(),
@@ -349,102 +329,91 @@ def _mehler_features(u: np.ndarray, rank: int) -> np.ndarray:
     return A
 
 
-def _low_rank_cross(u: np.ndarray, coef: np.ndarray, rho: float, rank: int):
-    """(U, s, c) of the Gaussian-copula cross map M = V D V^T = U diag(s) U^T,
-    V = L^{-1} A, D = diag(rho^(k+1)), with c = 1 - sqrt(1 - s^2); and the
-    probe residual of the cross block L M L^T against A D A^T. The joint
-    covariance is valid iff max s^2 <= 1."""
-    A = _mehler_features(u, rank)
-    d = rho ** np.arange(1.0, rank + 1.0)
-    # L^{-1} y: undo the (1 - u) scaling, then the cumulative sum
-    V = np.diff(A / (1.0 - u)[:, None], axis=0, prepend=0.0) / coef[:, None]
-    Q, R = np.linalg.qr(V)
-    s, P = np.linalg.eigh((R * d) @ R.T)
-    if not np.max(s * s) <= 1.0:
-        raise NumericalError(f"low-rank cross factor has max s^2 = {np.max(s * s):.17g} > 1; "
-                             "the joint bridge covariance is not valid")
-    U = Q @ P
+def _whiten(u: np.ndarray, coef: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """L^{-1} y, O(m) a column: undo the (1 - u) scaling, then the cumsum."""
+    return np.diff(y / (1.0 - u)[:, None], axis=0, prepend=0.0) / coef[:, None]
+
+
+def _cross_map(coupling, u: np.ndarray, coef: np.ndarray):
+    """((U, s, W, c) or None, probe residual, C(u,u) - u^2, Cramer bound or
+    None): M = L^{-1}(C(u,v) - uv)L^{-T} = U diag(s) W^T, truncated at
+    |s| > _CROSS_TOL max |s|, c = 1 - sqrt(1 - s^2). A Gaussian copula of
+    Mehler rank r <= m has M = V D V^T, V = L^{-1} A, D = diag(rho^(k+1)):
+    QR of V, eigh of R D R^T. Any other copula whitens its m x m kernel:
+    eigh((M + M^T)/2) when the kernel is symmetric to rounding (W is U),
+    else an SVD. Valid iff max |s| <= 1: up to 1 + _UNIT_TOL, rounding
+    clamped to 1; past it, NumericalError."""
+    r = bound = None
+    if coupling.kind == "gaussian":
+        r, bound = _mehler_rank(coupling.rho, len(u))
+    x = _probes(len(u))
+    if r is not None:
+        A = _mehler_features(u, r)
+        d = coupling.rho ** np.arange(1.0, r + 1.0)
+        Q, R = np.linalg.qr(_whiten(u, coef, A))
+        s, P = np.linalg.eigh((R * d) @ R.T)
+        U = W = Q @ P
+        cross_diag, want = coupling.copula(u, u) - u * u, A @ (d[:, None] * (A.T @ x))
+    else:
+        kernel = np.asarray(coupling.copula(u[:, None], u[None, :]), dtype=float) \
+            - np.outer(u, u)
+        cross_diag, want = np.diag(kernel).copy(), kernel @ x
+        M = _whiten(u, coef, _whiten(u, coef, kernel).T).T
+        if np.max(np.abs(kernel - kernel.T)) <= _SYMMETRY_RTOL * np.max(np.abs(kernel)):
+            s, U = np.linalg.eigh((M + M.T) / 2.0)
+            W = U
+        else:
+            U, s, Wt = np.linalg.svd(M)
+            W = Wt.T
+    keep = np.abs(s) > _CROSS_TOL * np.max(np.abs(s), initial=0.0)
+    if not keep.any():
+        return None, 0.0, cross_diag, bound
+    symmetric = W is U
+    U, s = U[:, keep], s[keep]
+    W = U if symmetric else W[:, keep]
+    if not np.max(np.abs(s)) <= 1.0 + _UNIT_TOL:
+        raise NumericalError(f"cross map has max |s| = {np.max(np.abs(s)):.17g} > "
+                             f"1 + {_UNIT_TOL:g}; the joint bridge covariance is not valid")
+    s = np.clip(s, -1.0, 1.0)
     c = s * s / (1.0 + np.sqrt((1.0 - s) * (1.0 + s)))
 
-    x = _probes(len(u))
     lt_x = coef[:, None] * _suffix_sums(u, x)
-    got = _markov_bridge(u, coef, U @ (s[:, None] * (U.T @ lt_x)))
-    resid = _probe_residual(got, A @ (d[:, None] * (A.T @ x)), "low-rank cross factor")
-    return (U, s, c), resid
-
-
-def _dense_factor(pair: PairSpec, u: np.ndarray):
-    """Dense Cholesky factor of the 2m x 2m joint covariance for a general
-    copula. Returns (factor, jitter, Frobenius residual, cross diagonal)."""
-    m = len(u)
-    K = np.minimum.outer(u, u) - np.outer(u, u)
-    cross = np.asarray(pair.coupling.copula(u[:, None], u[None, :]), dtype=float) \
-        - np.outer(u, u)
-
-    two_m = 2 * m
-    sigma = np.empty((two_m, two_m))
-    sigma[:m, :m] = K
-    sigma[m:, m:] = K
-    sigma[:m, m:] = cross
-    sigma[m:, :m] = cross.T
-
-    factor = None
-    jitter_used = 0.0
-    for jit in _JITTER_LADDER:
-        try:
-            factor = np.linalg.cholesky(sigma + jit * np.eye(two_m))
-            jitter_used = jit
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if factor is None:
-        diag = np.diag(sigma)
-        raise NumericalError(
-            "joint bridge covariance could not be factorized at maximum jitter "
-            f"{_JITTER_LADDER[-1]:g} (diag range [{diag.min():.3g}, {diag.max():.3g}])"
-        )
-    target = sigma + jitter_used * np.eye(two_m)
-    frob = float(np.linalg.norm(factor @ factor.T - target) / np.linalg.norm(target))
-    if frob > _FROBENIUS_RTOL:
-        raise NumericalError(f"factor reproduces the covariance to {frob:.3g} > "
-                             f"{_FROBENIUS_RTOL:g} (Frobenius relative)")
-    return factor, jitter_used, frob, np.diag(cross)
+    got = _markov_bridge(u, coef, U @ (s[:, None] * (W.T @ lt_x)))
+    return (U, s, W, c), _probe_residual(got, want, "cross map"), cross_diag, bound
 
 
 def _route(grid: BridgeGrid, reads: str):
     """(normals per draw, map of a (width, k) normal block to the (m, k)
     block of the process ``reads``).
 
-    A process that is one linear map of m normals takes m: B^X/h_X on any
-    factor (the dense factor is lower-triangular, so B^X is its leading
-    m x m block times z_x); Bq = (1/h_X - 1/h_Y) L z for a comonotone
-    coupling; and, when h_X = h_Y to the bit on a closed-form or low-rank
-    grid, Bq = sqrt(2)/h L(z - U(c1 * U^T z)), (U, s, .) = grid.cross and
-    c1 = 1 - sqrt(1 - s), which is sqrt(2) L z / h for an independent
-    pair and rho = 0 (rank 0, no U).
-    Bq on a degenerate grid is 0 and takes none. Any other Bq (dense
-    grids, unequal h) maps 2m normals through ``grid.bridges``.
+    A process that is one linear map of m normals takes m: B^X/h_X = L z/h_X
+    on any grid; Bq = (1/h_X - 1/h_Y) L z for a comonotone coupling; and,
+    when h_X = h_Y to the bit and the cross map is symmetric (W is U),
+    Bq = sqrt(2)/h L(z - U(c1 * U^T z)), c1 = 1 - sqrt(1 - s), which is
+    sqrt(2) L z / h for an independent pair and rho = 0 (no cross map).
+    Bq on a degenerate grid is 0 and takes none. Any other Bq (unequal h,
+    or W not U) maps 2m normals through ``grid.bridges``.
     """
     m, u, factor, h_x, h_y = grid.m, grid.u, grid.factor, grid.h_x, grid.h_y
     if reads == READS_X:
-        if grid.factor_kind == FACTOR_DENSE:
-            return m, lambda z: np.divide(factor[:m, :m] @ z, h_x[:, None])
         return m, lambda z: _markov_bridge(u, factor, z, 1.0 / h_x)
     if grid.degenerate:
         return 0, lambda z: np.zeros((m, z.shape[1]))
     if grid.coupling == "comonotone":
         scale = 1.0 / h_x - 1.0 / h_y
-    elif grid.factor_kind != FACTOR_DENSE and np.array_equal(h_x, h_y):
+    elif np.array_equal(h_x, h_y) and (grid.cross is None or grid.cross[2] is grid.cross[0]):
         scale = math.sqrt(2.0) / h_x
         if grid.cross is not None:
-            U, s, _ = grid.cross
+            U, s, _, _ = grid.cross
             c1 = s / (1.0 + np.sqrt(1.0 - s))   # 1 - sqrt(1 - s) without cancellation
+            # U^T zero-padded to a multiple of 64 columns: both products then write a
+            # contiguous side (k = 512, padded m), which kept OpenBLAS bytes thread-independent
+            u_t = np.zeros((len(s), -(-m // 64) * 64))
+            u_t[:, :m] = U.T
 
             def driving(z):
-                # z - U (c1 * U^T z), formed as its (k, m) transpose so that
-                # the block keeps z's column-major order for the cumsum
-                y = ((z.T @ U) * c1) @ U.T
-                return _markov_bridge(u, factor, np.subtract(z, y.T, out=y.T), scale)
+                y = ((c1[:, None] * (U.T @ z)).T @ u_t).T[:m]   # column-major, like z
+                return _markov_bridge(u, factor, np.subtract(z, y, out=y), scale)
             return m, driving
     else:
         def driving(z):
@@ -465,7 +434,8 @@ def iter_bridge_paths(grid: BridgeGrid, n_sim: int, seed: int, reads: str):
     bridges, 0 on a degenerate grid): draw j takes normals wj .. w(j+1) - 1
     of the stream. Every block, the last one zero-padded to 512 draws, is
     mapped at the same shape, so draw j is bit-identical for every
-    n_sim > j (BLAS products are not bit-stable across column counts).
+    n_sim > j (BLAS products are not bit-stable across column counts) and,
+    on one grid, for every BLAS thread count.
     """
     width, to_paths = _route(grid, reads)
     rng = derive_rng(seed, "draws")
@@ -857,11 +827,11 @@ def _kernel_quadrature(pair: PairSpec, us: np.ndarray, wv: np.ndarray) -> float:
     and b = wv/h_Y it is a^T K a + b^T K b - 2 a^T C b, K the bridge kernel
     applied in O(n) and C the cross covariance C(u,v) - uv: 0 (independent),
     K (comonotone) or the Mehler features of a Gaussian copula, O(n r), when
-    a rank r <= n/2 suffices. Any other copula uses the dense kernel."""
+    a rank r <= n suffices. Any other copula uses the dense kernel."""
     kind = pair.coupling.kind
     rank = None
     if kind == "gaussian":
-        rank, _ = _mehler_rank(pair.coupling.rho, int(_MAX_RANK_FRACTION * len(us)))
+        rank, _ = _mehler_rank(pair.coupling.rho, len(us))
     if kind not in ("independent", "comonotone") and rank is None:
         return float(wv @ bridge_cov_kernel(pair, us) @ wv)
     a = wv / np.asarray(pair.dist_x.density_quantile(us), dtype=float)
@@ -882,9 +852,9 @@ def sigma2_D(pair: PairSpec, cost: CostSpec, delta: float = 1e-6,
     """Variance of int_D rho'(tau) Bq du, computed with no random draws and
     no bridge grid: ``tails.quantile_rule`` over [delta, 1 - delta], split
     at the partition breakpoints, of the weighted covariance kernel of the
-    true pair, a quadratic form applied in O(n) (independent, comonotone)
-    or O(n r) (Gaussian copula) and through the dense kernel for other
-    copulas; clamped at 0, the value of a degenerate coupling.
+    true pair, a quadratic form applied in O(n) (independent, comonotone),
+    O(n r) (Gaussian copula of Mehler rank r <= n) or through the dense
+    kernel (other copulas); clamped at 0, the value of a degenerate coupling.
     ``mc_m`` and ``mc_n`` are accepted and ignored: the call form of the
     perfbench ``Power`` workload still passes them.
     """

@@ -63,7 +63,7 @@ def test_test_subcommand(data_csv, null_yaml, tmp_path):
     assert 0.0 < payload["p_value"] <= 1.0
     # the independent equal null reads one bridge: m normals per draw
     grid = payload["grid"]
-    assert (grid["rng"], grid["factor"]) == ("stream-v4", "closed-form")
+    assert (grid["rng"], grid["factor"]) == ("stream-v5", "closed-form")
     assert grid["normals_per_draw"] == grid["m"] == 2047
 
 

@@ -76,7 +76,7 @@ def test_study_summary_embeds_config(gauss_equal_pair, tmp_path):
     assert summary["config"]["seed"] == 314
     assert summary["config"]["grid"] == {"m": 127, "delta": 1e-3}
     grid_meta = summary["limit_draws"]["grid"]
-    assert (grid_meta["rng"], grid_meta["normals_per_draw"]) == ("stream-v4", 127)
+    assert (grid_meta["rng"], grid_meta["normals_per_draw"]) == ("stream-v5", 127)
     assert 0.0 <= summary["ks_distance"] <= 1.0
     assert summary["environment"]["numpy"]
     stats_lines = Path(paths["statistics"]).read_text().strip().splitlines()

@@ -1,4 +1,8 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from scipy import stats
 import wcontrast as wc
 from wcontrast import limitlaw, tails
 from wcontrast.distributions import bvn_cdf
-from wcontrast.errors import HypothesisError, TruncationError, ValidationError
+from wcontrast.errors import HypothesisError, NumericalError, TruncationError, ValidationError
 from wcontrast.harness import ExperimentConfig, run_clt_study
 from wcontrast.limitlaw import (READS_BQ, READS_X, bridge_cov_kernel, grid_mean_oracle_E,
                                 grid_mean_oracle_W2, iter_bridge_paths)
@@ -61,19 +65,31 @@ def _generator_factor(grid):
 
 
 def _dense_cholesky(pair, grid):
-    """Cholesky factor of the 2m x 2m joint covariance, computed densely.
+    """Cholesky factor of the 2m x 2m joint covariance, computed densely: the
+    oracle of every factor kind.
 
     A comonotone Sigma = [[K, K], [K, K]] is singular: its Schur complement
-    is 0, so its exact factor is [[C, 0], [C, 0]] with C = chol(K)."""
+    is 0, so its exact factor is [[C, 0], [C, 0]] with C = chol(K). Any
+    other copula factorizes [[K, X], [X^T, K]], X = C(u,v) - uv, escalating
+    diagonal jitter through 0, 1e-12, 1e-10, 1e-8 until Cholesky succeeds."""
     u, m = grid.u, grid.m
     K = np.minimum.outer(u, u) - np.outer(u, u)
     zero = np.zeros_like(K)
     if pair.coupling.kind == "independent":
         return np.linalg.cholesky(np.block([[K, zero], [zero, K]]))
-    C = np.linalg.cholesky(K)
-    factor = np.block([[C, zero], [C, zero]])
-    assert np.allclose(factor @ factor.T, np.block([[K, K], [K, K]]), rtol=0, atol=1e-14)
-    return factor
+    if pair.coupling.kind == "comonotone":
+        C = np.linalg.cholesky(K)
+        factor = np.block([[C, zero], [C, zero]])
+        assert np.allclose(factor @ factor.T, np.block([[K, K], [K, K]]), rtol=0, atol=1e-14)
+        return factor
+    cross = np.asarray(pair.coupling.copula(u[:, None], u[None, :])) - np.outer(u, u)
+    sigma = np.block([[K, cross], [cross.T, K]])
+    for jitter in (0.0, 1e-12, 1e-10, 1e-8):
+        try:
+            return np.linalg.cholesky(sigma + jitter * np.eye(2 * m))
+        except np.linalg.LinAlgError:
+            continue
+    raise AssertionError("the joint covariance has no Cholesky factor at jitter 1e-8")
 
 
 @pytest.mark.parametrize("m", [1, 32, 511])
@@ -83,7 +99,6 @@ def test_closed_form_paths_equal_dense_cholesky(m, which, gauss_equal_pair,
     pair = gauss_equal_pair if which == "independent" else bump_pair_comonotone
     grid = wc.build_bridge_grid(pair, m=m, delta=1e-4)
     assert grid.summary()["factor"] == "closed-form"
-    assert grid.jitter == 0.0
     z = np.random.default_rng(m).standard_normal((2 * m, 8))
     dense = _dense_cholesky(pair, grid) @ z
     closed = np.vstack(grid.bridges(z))
@@ -91,26 +106,59 @@ def test_closed_form_paths_equal_dense_cholesky(m, which, gauss_equal_pair,
 
 
 def test_summary_records_factor_and_rng(gauss_equal_pair):
-    copula_pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5))
-    custom_pair = wc.equal_pair(wc.gaussian(), wc.custom_coupling(_gauss_copula(0.5)))
+    pairs = {
+        "closed-form": gauss_equal_pair,
+        "mehler": wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5)),
+        "kernel": wc.equal_pair(wc.gaussian(), wc.custom_coupling(_gauss_copula(0.5))),
+        "kernel svd": wc.equal_pair(wc.gaussian(), wc.custom_coupling(_marshall_olkin(0.5, 0.3))),
+    }
     metas = {}
-    for pair, kind in ((gauss_equal_pair, "closed-form"), (copula_pair, "low-rank"),
-                       (custom_pair, "dense")):
+    for name, pair in pairs.items():
         grid = wc.build_bridge_grid(pair, m=128, delta=1e-3)
-        meta = metas[kind] = grid.summary()
-        assert meta["factor"] == kind
-        assert meta["rng"] == "stream-v4"
-        assert ("rank" in meta) == (kind == "low-rank")
-        # h_X = h_Y: closed-form and low-rank Bq draws read m normals, dense 2m
+        meta = metas[name] = grid.summary()
+        assert meta["factor"] == ("closed-form" if name == "closed-form" else "low-rank")
+        assert meta["rng"] == "stream-v5"
+        assert "jitter" not in meta
+        assert meta["frobenius_rel_err"] <= 1e-6
+        # every copula grid records the columns its cross map keeps; only a
+        # grid built from Mehler features has a Cramer truncation bound
+        assert meta.get("rank", -1) == (-1 if grid.cross is None else len(grid.cross[1]))
+        assert ("truncation_bound" in meta) == (name == "mehler")
+        # h_X = h_Y: Bq draws read m normals unless the cross map is not
+        # symmetric (W is not U)
         draws = wc.REGIMES["equal"].draw(pair, wc.power_cost(1.5), grid, 10, 0, None)
-        assert draws.grid_meta["normals_per_draw"] == (256 if kind == "dense" else 128)
-    assert metas["low-rank"]["rank"] == 46
-    assert 0.0 < metas["low-rank"]["truncation_bound"] < 1e-16
+        assert draws.grid_meta["normals_per_draw"] == (256 if name == "kernel svd" else 128)
+    assert 0 < metas["mehler"]["rank"] <= 46
+    assert 0.0 < metas["mehler"]["truncation_bound"] < 1e-16
+    assert 0 < metas["kernel"]["rank"] < 128
 
 
 def _gauss_copula(rho):
-    """The Gaussian copula as a plain callable, for the custom (dense) route."""
+    """The Gaussian copula as a plain callable, for the whitened-kernel route."""
     return lambda u, v: bvn_cdf(stats.norm.ppf(u), stats.norm.ppf(v), rho)
+
+
+def _clayton(theta):
+    def copula(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        with np.errstate(divide="ignore"):
+            return (u ** -theta + v ** -theta - 1.0) ** (-1.0 / theta)
+    return copula
+
+
+def _fgm(theta):
+    def copula(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        return u * v * (1.0 + theta * (1.0 - u) * (1.0 - v))
+    return copula
+
+
+def _marshall_olkin(a, b):
+    """C(u, v) = min(u^(1-a) v, u v^(1-b)): a singular part, not exchangeable."""
+    def copula(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        return np.minimum(u ** (1.0 - a) * v, u * v ** (1.0 - b))
+    return copula
 
 
 def _dense_sigma(grid, rho):
@@ -131,7 +179,8 @@ MEHLER_RANKS = {0.5: 46, -0.7: 89, 0.9: 301}
 def test_gaussian_copula_sigma_matches_owens_t(rho, m):
     pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(rho))
     grid = wc.build_bridge_grid(pair, m=m, delta=1e-4)
-    assert grid.factor_kind == ("low-rank" if MEHLER_RANKS[rho] <= m // 2 else "dense")
+    # Mehler features up to rank m, else the whitened Owen's T kernel
+    assert (grid.truncation_bound is not None) == (MEHLER_RANKS[rho] <= m)
     factor = _generator_factor(grid)
     sigma = _dense_sigma(grid, rho)
     assert np.linalg.norm(factor @ factor.T - sigma) <= 1e-12 * np.linalg.norm(sigma)
@@ -144,10 +193,16 @@ def test_gaussian_copula_rank_rule():
     for rho, rank in MEHLER_RANKS.items():
         pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(rho))
         grid = wc.build_bridge_grid(pair, m=1023, delta=1e-4)
-        assert (grid.factor_kind, grid.rank) == ("low-rank", rank)
+        # the Mehler features of the Cramer rank, then the cross map's
+        # values above 1e-10 of the largest: far fewer columns
         tail = 0.19 * abs(rho) ** (rank + 1) / ((rank + 1) * (1 - abs(rho)))
         assert grid.truncation_bound == pytest.approx(tail, rel=1e-12)
         assert tail < 1e-16 <= 0.19 * abs(rho) ** rank / (rank * (1 - abs(rho)))
+        U, s, W, _ = grid.cross
+        assert W is U and grid.factor_kind == "low-rank"
+        assert grid.rank == len(s) < rank
+        assert np.min(np.abs(s)) > 1e-10 * np.max(np.abs(s))
+        assert np.allclose(U.T @ U, np.eye(grid.rank), rtol=0, atol=1e-12)
         # the generator's covariance on probe vectors, against the dense one
         factor = _generator_factor(grid)
         x = np.random.default_rng(1).standard_normal((2 * grid.m, 4))
@@ -160,45 +215,63 @@ def test_gaussian_copula_rho_zero_is_independent(gauss_equal_pair):
     grid = wc.build_bridge_grid(pair, m=64, delta=1e-3)
     ref = wc.build_bridge_grid(gauss_equal_pair, m=64, delta=1e-3)
     assert (grid.factor_kind, grid.rank, grid.cross) == ("low-rank", 0, None)
+    assert grid.truncation_bound == 0.0
     z = np.random.default_rng(3).standard_normal((128, 40))
     for got, want in zip(grid.bridges(z), ref.bridges(z)):
         assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("rho", [0.999, -0.999])
-def test_gaussian_copula_near_unit_rho_goes_dense(rho):
+def test_gaussian_copula_near_unit_rho_whitens_the_kernel(rho):
+    # the Cramer rank is far above m: the whitened Owen's T kernel, a
+    # symmetric cross map with |s| < 1, rebuilds the cross block
     pair = wc.make_pair(wc.gaussian(), wc.gaussian(1, 1), wc.gaussian_coupling(rho))
     grid = wc.build_bridge_grid(pair, m=64, delta=1e-3)
-    assert grid.factor_kind == "dense"
-    assert (grid.rank, grid.truncation_bound) == (64, 0.0)
+    U, s, W, _ = grid.cross
+    assert (grid.factor_kind, grid.truncation_bound) == ("low-rank", None)
+    assert W is U and grid.rank == len(s) <= 64
+    assert 0.99 < np.max(np.abs(s)) < 1.0
+    factor = _generator_factor(grid)
+    sigma = _dense_sigma(grid, rho)
+    assert np.linalg.norm(factor @ factor.T - sigma) <= 1e-12 * np.linalg.norm(sigma)
     draws = wc.REGIMES["gaussian"].draw(pair, wc.power_cost(2), grid, 600, 5, None)
     assert np.all(np.isfinite(draws.values))
 
 
 def test_low_rank_and_dense_copula_draws_agree_in_distribution():
-    cost = wc.power_cost(1.5)
-    values = []
-    for coupling, kind, seed in ((wc.gaussian_coupling(0.5), "low-rank", 31),
-                                 (wc.custom_coupling(_gauss_copula(0.5)), "dense", 32)):
-        pair = wc.equal_pair(wc.gaussian(), coupling)
-        grid = wc.build_bridge_grid(pair, m=255, delta=1e-4)
-        assert grid.factor_kind == kind
-        vals = wc.REGIMES["equal"].draw(pair, cost, grid, 4000, seed, None).values
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - grid_mean_oracle_E(pair, cost, grid)) <= 4.0 * se
-        values.append(vals)
-    assert stats.ks_2samp(*values).pvalue > 1e-3
+    # the Mehler-built cross map (rank 16 of 46 features) against draws of
+    # the dense 2m x 2m Cholesky factor of the same grid
+    pair, cost = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5)), wc.power_cost(1.5)
+    grid = wc.build_bridge_grid(pair, m=255, delta=1e-4)
+    assert (grid.factor_kind, grid.rank) == ("low-rank", 16)
+    vals = wc.REGIMES["equal"].draw(pair, cost, grid, 4000, 31, None).values
+    se = vals.std(ddof=1) / math.sqrt(len(vals))
+    assert abs(vals.mean() - grid_mean_oracle_E(pair, cost, grid)) <= 4.0 * se
+    ref = _dense_draws(pair, cost, grid, 4000, 32)
+    assert stats.ks_2samp(vals, ref).pvalue > 1e-3
+
+
+def _dense_draws(pair, cost, grid, n, seed, label="equal"):
+    """n draws of the regime's Bq functional through the dense Cholesky factor."""
+    factor = _dense_cholesky(pair, grid)
+    functional = wc.REGIMES[label].functional(pair, cost, grid, 0.0)
+    z = np.random.default_rng(seed).standard_normal((2 * grid.m, n))
+    return functional(_process(grid, READS_BQ, *np.split(factor @ z, 2)))
 
 
 def test_default_gaussian_copula_grid_is_low_rank(monkeypatch):
-    def no_dense(*args):
-        raise AssertionError("the dense 2m x 2m factor was built")
-
-    monkeypatch.setattr(limitlaw, "_dense_factor", no_dense)
+    # the Mehler route evaluates the copula on the diagonal only: no m x m
+    # kernel is assembled, and no grid array has m^2 entries
+    shapes = []
+    copula = wc.CouplingSpec.copula
+    monkeypatch.setattr(wc.CouplingSpec, "copula",
+                        lambda self, u, v: shapes.append(np.shape(u)) or copula(self, u, v))
     pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5))
     grid = wc.build_bridge_grid(pair)
     m = grid.m
-    assert (m, grid.factor_kind, grid.rank) == (2047, "low-rank", 46)
+    assert shapes == [(m,)]
+    assert (m, grid.factor_kind) == (2047, "low-rank")
+    assert 0 < grid.rank <= 46
     arrays = [grid.u, grid.factor, grid.h_x, grid.h_y, grid.weights,
               grid.var_bridge_diag, *grid.cross]
     assert max(a.size for a in arrays) <= m * grid.rank
@@ -588,11 +661,11 @@ def test_draws_reproducible(gauss_equal_pair):
     assert np.array_equal(a.values, b.values)
     # draw j, path and value, is bit-identical for every n_sim > j
     couplings = {"closed-form": wc.independent(), "low-rank": wc.gaussian_coupling(0.5),
-                 "dense": wc.custom_coupling(_gauss_copula(0.5))}
+                 "kernel svd": wc.custom_coupling(_marshall_olkin(0.5, 0.3))}
     for kind, coupling in couplings.items():
         pair = wc.equal_pair(wc.gaussian(), coupling)
         grid = wc.build_bridge_grid(pair, m=127, delta=1e-4)
-        assert grid.factor_kind == kind
+        assert grid.factor_kind == ("closed-form" if kind == "closed-form" else "low-rank")
         ref = wc.REGIMES["equal"].draw(pair, cost, grid, 1100, 77, None).values
         ref_paths = np.hstack([bq for bq, _ in iter_bridge_paths(grid, 1100, 77, READS_BQ)])
         for n_sim in (1, 37, 600):
@@ -612,13 +685,13 @@ def _process(grid, reads, bx, by):
 def _one_bridge_cases(bump_pair_comonotone):
     """(pair, cost, regime label, p, factor kind) of each route that draws
     one scaled bridge from m normals."""
-    gauss, independence = wc.equal_pair(wc.gaussian()), lambda u, v: np.multiply(u, v)
+    gauss = wc.equal_pair(wc.gaussian())
     return {
         "equal": (gauss, wc.power_cost(1.5), "equal", 0.0, "closed-form"),
         "quadratic": (wc.equal_pair(wc.weibull(3.0)), None, "quadratic", 0.0, "closed-form"),
         "one_sample": (gauss, None, "one_sample", 1.5, "closed-form"),
-        "one_sample dense": (wc.equal_pair(wc.gaussian(), wc.custom_coupling(independence)),
-                             None, "one_sample", 1.5, "dense"),
+        "one_sample kernel": (wc.equal_pair(wc.gaussian(), wc.custom_coupling(_fgm(0.5))),
+                              None, "one_sample", 1.5, "low-rank"),
         "mixed comonotone": (bump_pair_comonotone, wc.power_cost(1), "mixed", 0.0,
                              "closed-form"),
         "equal copula 0.5": (wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5)),
@@ -628,7 +701,7 @@ def _one_bridge_cases(bump_pair_comonotone):
     }
 
 
-@pytest.mark.parametrize("case", ["equal", "quadratic", "one_sample", "one_sample dense",
+@pytest.mark.parametrize("case", ["equal", "quadratic", "one_sample", "one_sample kernel",
                                   "mixed comonotone", "equal copula 0.5",
                                   "equal copula -0.5"])
 def test_one_bridge_draws_keep_the_law(case, bump_pair_comonotone):
@@ -669,9 +742,10 @@ def test_one_bridge_copula_stream():
     # derive_rng(seed, "draws")
     pair = wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5))
     grid = wc.build_bridge_grid(pair, m=127, delta=1e-4)
-    assert (grid.factor_kind, grid.rank) == ("low-rank", 46)
+    assert (grid.factor_kind, grid.rank) == ("low-rank", 15)
     n, cost = 600, wc.power_cost(1.5)
-    U, s, _ = grid.cross
+    U, s, W, _ = grid.cross
+    assert W is U
     c1 = 1.0 - np.sqrt(1.0 - s)
     z = derive_rng(77, "draws").standard_normal((n, grid.m)).T
     L = np.tril((1.0 - grid.u)[:, None] * grid.factor[None, :])
@@ -683,9 +757,10 @@ def test_one_bridge_copula_stream():
     assert draws.grid_meta["normals_per_draw"] == grid.m
 
 
-@pytest.mark.parametrize("case", ["low-rank", "dense", "unequal h"])
+@pytest.mark.parametrize("case", ["low-rank", "non-symmetric", "unequal h"])
 def test_two_bridge_stream(case):
-    # dense grids, and pairs whose h differ (N(0,1) vs N(0,2) under a
+    # grids whose cross map is not symmetric (W is not U: a Marshall-Olkin
+    # copula, equal h), and pairs whose h differ (N(0,1) vs N(0,2) under a
     # Gaussian copula; the independent shift pair, in the last bits), map
     # 2m normals through grid.bridges: draw j reads normals
     # 2mj .. 2m(j+1) - 1; the one-sample limit still reads m
@@ -693,14 +768,17 @@ def test_two_bridge_stream(case):
         "low-rank": (wc.make_pair(wc.gaussian(0, 1), wc.gaussian(0, 2),
                                   wc.gaussian_coupling(0.5)),
                      wc.power_cost(2), "gaussian", "low-rank"),
-        "dense": (wc.equal_pair(wc.gaussian(), wc.custom_coupling(_gauss_copula(0.5))),
-                  wc.power_cost(1.5), "equal", "dense"),
+        "non-symmetric": (wc.equal_pair(wc.gaussian(),
+                                        wc.custom_coupling(_marshall_olkin(0.5, 0.3))),
+                          wc.power_cost(1.5), "equal", "low-rank"),
         "unequal h": (_shift_pair(wc.independent()), wc.power_cost(2), "gaussian",
                       "closed-form"),
     }[case]
     grid = wc.build_bridge_grid(pair, m=127, delta=1e-4)
     assert grid.factor_kind == kind
-    assert np.array_equal(grid.h_x, grid.h_y) == (case == "dense")
+    assert np.array_equal(grid.h_x, grid.h_y) == (case == "non-symmetric")
+    assert (grid.cross is not None and grid.cross[2] is not grid.cross[0]) == \
+        (case == "non-symmetric")
     n = 600
     bq = _process(grid, READS_BQ, *_bridges(grid, n, 77))
     paths = np.hstack([b for b, _ in iter_bridge_paths(grid, n, 77, READS_BQ)])
@@ -738,3 +816,99 @@ def test_degenerate_grid_draws_no_normals():
     draws = wc.REGIMES["equal"].draw(pair, wc.power_cost(1.5), grid, 600, 3, None)
     assert np.array_equal(draws.values, np.zeros(600))
     assert draws.grid_meta["normals_per_draw"] == 0
+
+
+ORACLE_COUPLINGS = {
+    "clayton(2)": lambda: wc.custom_coupling(_clayton(2.0)),
+    "fgm(0.5)": lambda: wc.custom_coupling(_fgm(0.5)),
+    "marshall-olkin(0.5, 0.3)": lambda: wc.custom_coupling(_marshall_olkin(0.5, 0.3)),
+    "gaussian 0.5": lambda: wc.gaussian_coupling(0.5),
+    "gaussian 0.9": lambda: wc.gaussian_coupling(0.9),
+    "gaussian -0.95": lambda: wc.gaussian_coupling(-0.95),
+}
+
+
+@pytest.mark.parametrize("case", list(ORACLE_COUPLINGS))
+def test_cross_map_draws_match_dense_cholesky(case):
+    # equal-regime draws through the truncated cross map (m normals when it
+    # is symmetric, 2m for Marshall-Olkin) against the same functional of
+    # draws through the dense 2m x 2m Cholesky factor: the two-sample KS
+    # distance stays below its alpha = 1e-3 critical value
+    pair = wc.equal_pair(wc.gaussian(), ORACLE_COUPLINGS[case]())
+    cost, n = wc.power_cost(1.5), 20000
+    grid = wc.build_bridge_grid(pair, m=255, delta=1e-4)
+    assert grid.factor_kind == "low-rank" and grid.frobenius_rel_err <= 1e-6
+    draws = wc.REGIMES["equal"].draw(pair, cost, grid, n, 51, None)
+    symmetric = grid.cross[2] is grid.cross[0]
+    assert symmetric == (case != "marshall-olkin(0.5, 0.3)")
+    assert draws.grid_meta["normals_per_draw"] == (1 if symmetric else 2) * grid.m
+    ref = np.concatenate([_dense_draws(pair, cost, grid, n // 4, 52 + i) for i in range(4)])
+    crit = math.sqrt(-math.log(1e-3 / 2.0) / 2.0) * math.sqrt(2.0 / n)
+    assert stats.ks_2samp(draws.values, ref).statistic < crit
+
+
+def _over_min(u, v):
+    """min(u, v) on the copula validator's probe grid (multiples of 1/64),
+    above it, and so no copula, in between."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return np.minimum(u, v) * (1.0 + 1e-8 * (np.sin(64 * np.pi * u) * np.sin(64 * np.pi * v)) ** 2)
+
+
+def test_cross_map_clamps_rounding_and_raises_past_it():
+    # a custom comonotone copula whitens to the identity, |s| = 1 up to
+    # rounding (1 + 1e-9 at delta = 1e-9): clamped to 1, its grid is
+    # degenerate and its draws are 0
+    pair = wc.equal_pair(wc.gaussian(), wc.custom_coupling(np.minimum))
+    grid = wc.build_bridge_grid(pair, m=511, delta=1e-9)
+    U, s, W, c = grid.cross
+    assert W is U and grid.rank == 511
+    assert np.max(np.abs(s)) == 1.0 and np.all(np.isfinite(c))
+    assert grid.degenerate
+    draws = wc.REGIMES["equal"].draw(pair, wc.power_cost(1.5), grid, 600, 3, None)
+    assert np.array_equal(draws.values, np.zeros(600))
+    # 1e-8 above min(u, v) between the probe nodes gives |s| = 1 + 7e-5,
+    # past the rounding tolerance 1e-6: the joint covariance is not valid
+    pair = wc.equal_pair(wc.gaussian(), wc.custom_coupling(_over_min))
+    with pytest.raises(NumericalError, match=r"max \|s\| = 1\.0000"):
+        wc.build_bridge_grid(pair, m=255, delta=1e-4)
+
+
+_THREADS_SCRIPT = """
+import hashlib, pickle, sys
+import wcontrast as wc
+from wcontrast.limitlaw import READS_BQ, iter_bridge_paths
+grids = pickle.loads(sys.stdin.buffer.read())
+gauss, copula = wc.gaussian(), wc.gaussian_coupling(0.5)
+built = {"closed-form": wc.equal_pair(gauss),
+         "mehler m": wc.equal_pair(gauss, copula),
+         "mehler 2m": wc.make_pair(gauss, wc.gaussian(0, 2), copula)}
+for name, pair in built.items():
+    grids[name] = wc.build_bridge_grid(pair, m=255, delta=1e-4)
+for name, grid in sorted(grids.items()):
+    digest = hashlib.sha256()
+    for _, block in iter_bridge_paths(grid, 3000, 7, READS_BQ):
+        digest.update(block.tobytes())
+    print(name, digest.hexdigest())
+"""
+
+
+def test_draw_bytes_do_not_depend_on_blas_threads():
+    # 3000 draws per route, in fresh processes at 1 and 2 BLAS threads (a
+    # product that is not thread-stable may differ in one value of millions):
+    # the closed-form and Mehler routes build their grid there too; the
+    # whitened-kernel grids (whose eigh / SVD build may differ in the last
+    # bits with the thread count) are built here and drawn from there
+    kernels = {"kernel symmetric": _clayton(2.0), "kernel svd": _marshall_olkin(0.5, 0.3)}
+    grids = {name: wc.build_bridge_grid(wc.equal_pair(wc.gaussian(), wc.custom_coupling(fn)),
+                                        m=255, delta=1e-4)
+             for name, fn in kernels.items()}
+    src = os.path.dirname(os.path.dirname(wc.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src] + sys.path))
+        done = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], input=pickle.dumps(grids),
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        outs.append(done.stdout.decode().splitlines())
+    assert len(outs[0]) == 5 and outs[0] == outs[1]
