@@ -838,9 +838,15 @@ def _validate_copula(copula_fn, grid_n: int = 64) -> None:
         raise ValidationError("custom copula violates C(u,0) = C(0,v) = 0")
     if np.max(np.abs(C[:, -1] - g)) > 1e-9 or np.max(np.abs(C[-1, :] - g)) > 1e-9:
         raise ValidationError("custom copula violates uniform margins C(u,1) = u")
-    rect = C[1:, 1:] - C[:-1, 1:] - C[1:, :-1] + C[:-1, :-1]
-    if rect.min() < -1e-12:
+    if not two_increasing(C):
         raise ValidationError("custom copula is not 2-increasing on the probe grid")
+
+
+def two_increasing(C: np.ndarray) -> bool:
+    """Whether every rectangle of the grid values C[i, j] = C(u_i, v_j), on
+    increasing nodes, has C-volume at least -1e-12 (rounding)."""
+    rect = C[1:, 1:] - C[:-1, 1:] - C[1:, :-1] + C[:-1, :-1]
+    return bool(np.min(rect, initial=0.0) >= -1e-12)
 
 
 def _sample_custom_copula(copula_fn, n: int, rng: np.random.Generator):

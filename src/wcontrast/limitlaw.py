@@ -13,9 +13,14 @@ by trapezoid quadrature of one path per draw of the one process the
 functional reads (Bq, or B^X/h_X for the one-sample limit). A draw maps m
 normals when that process is one linear map of them (B^X/h_X; Bq of a
 comonotone pair, or of a pair with h_X = h_Y whose cross map is symmetric,
-W = U) and 2m normals through both bridges otherwise. Each
-limit comes with an explicit bound on the truncated tail contribution
-derived from the edge integrability of the relevant functional.
+W = U) and 2m normals through both bridges otherwise. The normals come
+from one stream, derive_rng(seed, "draws"), in blocks of 512 draws;
+``iter_bridge_paths`` maps block i while one worker thread fills block
+i + 1 in stream order, so the bytes do not depend on thread scheduling,
+and holds one extra block of normals for it (2 MB at m = 511, 4 MB at
+m = 1023). Each limit comes with an explicit bound on the truncated tail
+contribution derived from the edge integrability of the relevant
+functional.
 ``select_regime`` decides from the pair and the cost which limit theorem
 applies; its ``REGIMES`` table gives each theorem's checker, rate,
 centering, process read, limit functional and tail bound. ``Regime.draw``
@@ -26,6 +31,7 @@ is the one routine that draws a functional; it does not run the checker,
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,7 +41,7 @@ from scipy.special import ndtri
 from .assumptions import (PASS, check_cfg_e, check_cfg_ed, check_compact,
                           check_pareto_dominance, check_w2_hypotheses)
 from .costs import CostSpec, abs_moment_normal, derivative, rate_vn
-from .distributions import LEFT, RIGHT, DistSpec, PairSpec, equal_pair
+from .distributions import LEFT, RIGHT, DistSpec, PairSpec, equal_pair, two_increasing
 from .errors import (HypothesisError, NumericalError, TruncationError,
                      ValidationError)
 from .seeding import derive_rng
@@ -141,12 +147,16 @@ class BridgeGrid:
         of Bq use where h_X and h_Y differ or W is not U (``_route``)."""
         m = self.m
         zx, zy = z[:m], z[m:]
-        bx = _markov_bridge(self.u, self.factor, zx)
+        # z stays the caller's; the copies keep its memory order, on which the
+        # bytes of the BLAS products downstream depend
+        bx = _markov_bridge(self.u, self.factor, zx.copy(order="K"))
         if self.coupling == "comonotone":
             return bx, bx
         if self.cross is not None:
             U, s, W, c = self.cross
             zy = zy + W @ (s[:, None] * (U.T @ zx) - c[:, None] * (W.T @ zy))
+        else:
+            zy = zy.copy(order="K")
         return bx, _markov_bridge(self.u, self.factor, zy)
 
     def summary(self) -> dict:
@@ -257,12 +267,12 @@ def _check_delta(delta: float, what: str) -> None:
 def _markov_bridge(u: np.ndarray, coef: np.ndarray, z: np.ndarray,
                    scale: Optional[np.ndarray] = None) -> np.ndarray:
     """L @ z for the closed-form factor L[k,j] = (1 - u_k) coef_j, j <= k,
-    rows times ``scale`` when given; one new array in z's memory order,
-    summed and scaled in place."""
-    out = coef[:, None] * z
-    np.cumsum(out, axis=0, out=out)
-    out *= ((1.0 - u) if scale is None else (1.0 - u) * scale)[:, None]
-    return out
+    rows times ``scale`` when given. Computed in place: z is overwritten
+    with the result and returned, so callers pass an array they own."""
+    z *= coef[:, None]
+    np.cumsum(z, axis=0, out=z)
+    z *= ((1.0 - u) if scale is None else (1.0 - u) * scale)[:, None]
+    return z
 
 
 def _suffix_sums(u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -341,8 +351,10 @@ def _cross_map(coupling, u: np.ndarray, coef: np.ndarray):
     Mehler rank r <= m has M = V D V^T, V = L^{-1} A, D = diag(rho^(k+1)):
     QR of V, eigh of R D R^T. Any other copula whitens its m x m kernel:
     eigh((M + M^T)/2) when the kernel is symmetric to rounding (W is U),
-    else an SVD. Valid iff max |s| <= 1: up to 1 + _UNIT_TOL, rounding
-    clamped to 1; past it, NumericalError."""
+    else an SVD; a copula that is not 2-increasing on the grid raises
+    ValidationError. Valid iff
+    max |s| <= 1: up to 1 + _UNIT_TOL, rounding clamped to 1; past it,
+    NumericalError."""
     r = bound = None
     if coupling.kind == "gaussian":
         r, bound = _mehler_rank(coupling.rho, len(u))
@@ -355,8 +367,12 @@ def _cross_map(coupling, u: np.ndarray, coef: np.ndarray):
         U = W = Q @ P
         cross_diag, want = coupling.copula(u, u) - u * u, A @ (d[:, None] * (A.T @ x))
     else:
-        kernel = np.asarray(coupling.copula(u[:, None], u[None, :]), dtype=float) \
-            - np.outer(u, u)
+        kernel = np.asarray(coupling.copula(u[:, None], u[None, :]), dtype=float)
+        if not two_increasing(kernel):
+            name = getattr(coupling.copula_fn, "__name__", coupling.kind)
+            raise ValidationError(f"copula {name!r} is not 2-increasing on the {len(u)}-point "
+                                  "bridge grid, so it is not a copula")
+        kernel -= np.outer(u, u)
         cross_diag, want = np.diag(kernel).copy(), kernel @ x
         M = _whiten(u, coef, _whiten(u, coef, kernel).T).T
         if np.max(np.abs(kernel - kernel.T)) <= _SYMMETRY_RTOL * np.max(np.abs(kernel)):
@@ -436,22 +452,37 @@ def iter_bridge_paths(grid: BridgeGrid, n_sim: int, seed: int, reads: str):
     mapped at the same shape, so draw j is bit-identical for every
     n_sim > j (BLAS products are not bit-stable across column counts) and,
     on one grid, for every BLAS thread count.
+
+    While block i is mapped, one worker thread fills block i + 1's normals
+    (numpy releases the GIL while it fills). The first block is filled
+    before the worker starts and only one fill is in flight at a time, so
+    the stream is read in the same order whatever the thread scheduling,
+    and the bytes do not depend on it. One extra (512, w) block of normals
+    is held for it: 2 MB at m = 511, 4 MB at m = 1023. The worker starts
+    only for a call of more than one block and is joined when the
+    iteration ends, is closed early or raises.
     """
     width, to_paths = _route(grid, reads)
     rng = derive_rng(seed, "draws")
-    for start in range(0, n_sim, _BLOCK):
-        k = min(_BLOCK, n_sim - start)
-        block = to_paths(_normals(rng, k, width).T)
-        yield block[:, :k], block
+    sizes = [min(_BLOCK, n_sim - start) for start in range(0, n_sim, _BLOCK)]
 
+    def fill(z: np.ndarray, k: int) -> np.ndarray:
+        """The next k draws of the stream in z's first k rows, zeros after."""
+        rng.standard_normal(out=z[:k])
+        z[k:] = 0.0
+        return z
 
-def _normals(rng, k: int, width: int) -> np.ndarray:
-    """The next k rows of ``width`` normals from rng, zero-padded to _BLOCK rows."""
-    if k == _BLOCK:
-        return rng.standard_normal((k, width))
-    z = np.zeros((_BLOCK, width))
-    rng.standard_normal(out=z[:k])
-    return z
+    # blocks are allocated on this thread: a worker that allocates them gets
+    # a malloc arena of its own, which raised the peak RSS by about 10 MB
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for i, k in enumerate(sizes):
+            z = fill(np.empty((_BLOCK, width)), k) if pending is None else pending.result()
+            pending = (worker.submit(fill, np.empty((_BLOCK, width)), sizes[i + 1])
+                       if i + 1 < len(sizes) else None)
+            block = to_paths(z.T)
+            del z   # the normals, when the route maps them into a new array
+            yield block[:, :k], block
 
 
 def _collect(grid: BridgeGrid, n_sim: int, seed: int, reads: str,
@@ -597,7 +628,11 @@ def _functional_one_sample(pair: PairSpec, cost: Optional[CostSpec], grid: Bridg
                            p: float):
     """int |B^X(u)/h(u)|^p du for the X marginal, 1 <= p < 2 (any coupling:
     the X marginal is a standard bridge)."""
-    return lambda bx: grid.weights @ (np.abs(bx) ** p)
+    def functional(bx):
+        absx = np.abs(bx)
+        absx **= p
+        return grid.weights @ absx
+    return functional
 
 
 # ---------------------------------------------------------------------------

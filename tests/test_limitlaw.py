@@ -3,6 +3,8 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -854,6 +856,15 @@ def _over_min(u, v):
     return np.minimum(u, v) * (1.0 + 1e-8 * (np.sin(64 * np.pi * u) * np.sin(64 * np.pi * v)) ** 2)
 
 
+def _warped_min(u, v):
+    """min(g(u), g(v)), g(u) = u + 1e-4 sin^2(64 pi u): increasing, and u on
+    the copula validator's probe grid."""
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return x + 1e-4 * np.sin(64 * np.pi * x) ** 2
+    return np.minimum(g(u), g(v))
+
+
 def test_cross_map_clamps_rounding_and_raises_past_it():
     # a custom comonotone copula whitens to the identity, |s| = 1 up to
     # rounding (1 + 1e-9 at delta = 1e-9): clamped to 1, its grid is
@@ -866,10 +877,17 @@ def test_cross_map_clamps_rounding_and_raises_past_it():
     assert grid.degenerate
     draws = wc.REGIMES["equal"].draw(pair, wc.power_cost(1.5), grid, 600, 3, None)
     assert np.array_equal(draws.values, np.zeros(600))
-    # 1e-8 above min(u, v) between the probe nodes gives |s| = 1 + 7e-5,
-    # past the rounding tolerance 1e-6: the joint covariance is not valid
+    # 1e-8 above min(u, v) between the probe nodes passes the copula
+    # validator, but not the 2-increasing check on the bridge grid (it would
+    # whiten to |s| = 1 + 7e-5): a ValidationError that names the function
     pair = wc.equal_pair(wc.gaussian(), wc.custom_coupling(_over_min))
-    with pytest.raises(NumericalError, match=r"max \|s\| = 1\.0000"):
+    with pytest.raises(ValidationError, match="'_over_min' is not 2-increasing"):
+        wc.build_bridge_grid(pair, m=255, delta=1e-4)
+    # min(g(u), g(v)) with g increasing, g(u) = u on the probe nodes and
+    # above u between them, is 2-increasing but has no uniform margins: its
+    # cross map reaches |s| = 2.3, which stays a NumericalError
+    pair = wc.equal_pair(wc.gaussian(), wc.custom_coupling(_warped_min))
+    with pytest.raises(NumericalError, match=r"max \|s\| = 2\.2"):
         wc.build_bridge_grid(pair, m=255, delta=1e-4)
 
 
@@ -912,3 +930,97 @@ def test_draw_bytes_do_not_depend_on_blas_threads():
         assert done.returncode == 0, done.stderr.decode()
         outs.append(done.stdout.decode().splitlines())
     assert len(outs[0]) == 5 and outs[0] == outs[1]
+
+
+def _route_cases(bump_pair_comonotone):
+    """(pair, process read, normals per draw / m) of each route of ``_route``."""
+    gauss, copula = wc.gaussian(), wc.gaussian_coupling(0.5)
+    return {
+        "closed-form Bq": (wc.equal_pair(gauss), READS_BQ, 1),
+        "B^X/h_X": (wc.make_pair(gauss, wc.gaussian(0, 2), copula), READS_X, 1),
+        "comonotone": (bump_pair_comonotone, READS_BQ, 1),
+        "mehler m": (wc.equal_pair(gauss, copula), READS_BQ, 1),
+        "unequal h 2m": (wc.make_pair(gauss, wc.gaussian(0, 2), copula), READS_BQ, 2),
+        "non-exchangeable 2m": (wc.equal_pair(gauss, wc.custom_coupling(
+            _marshall_olkin(0.5, 0.3))), READS_BQ, 2),
+        "degenerate": (wc.equal_pair(gauss, wc.comonotone()), READS_BQ, 0),
+    }
+
+
+@pytest.mark.parametrize("case", ["closed-form Bq", "B^X/h_X", "comonotone", "mehler m",
+                                  "unequal h 2m", "non-exchangeable 2m", "degenerate"])
+def test_blocks_equal_serial_reconstruction(case, bump_pair_comonotone):
+    # every block kept until the iteration ends, byte for byte against
+    # blocks mapped one after another from the documented stream: draw j
+    # reads normals wj .. w(j+1) - 1 of derive_rng(seed, "draws"), and the
+    # last block is zero-padded to 512 draws. Blocks that shared one buffer,
+    # or normals read out of stream order, would differ here
+    pair, reads, per_m = _route_cases(bump_pair_comonotone)[case]
+    grid = wc.build_bridge_grid(pair, m=63, delta=1e-4)
+    width, to_paths = limitlaw._route(grid, reads)
+    assert width == per_m * grid.m
+    n = 1300
+    z = np.zeros((3 * 512, width))
+    z[:n] = derive_rng(11, "draws").standard_normal((n, width))
+    want = [to_paths(np.array(z[i:i + 512]).T) for i in range(0, n, 512)]
+    got = list(iter_bridge_paths(grid, n, 11, reads))
+    assert [paths.shape[1] for paths, _ in got] == [512, 512, 276]
+    for (paths, block), ref in zip(got, want, strict=True):
+        assert block.tobytes() == ref.tobytes(), case
+        assert np.shares_memory(paths, block)
+    for i, (_, a) in enumerate(got):
+        assert not any(np.shares_memory(a, b) for _, b in got[i + 1:])
+
+
+def test_path_iteration_leaves_no_thread(gauss_equal_pair):
+    # at most one worker a call, joined when the draws end, when the caller
+    # stops early and when the functional raises between blocks; a call of
+    # one block starts none, and n_sim = 0 yields nothing
+    grid = wc.build_bridge_grid(gauss_equal_pair, m=63, delta=1e-4)
+    start = threading.active_count()
+    assert list(iter_bridge_paths(grid, 0, 1, READS_BQ)) == []
+    for _ in iter_bridge_paths(grid, 512, 1, READS_BQ):
+        assert threading.active_count() == start
+    for _ in iter_bridge_paths(grid, 2000, 1, READS_BQ):
+        assert threading.active_count() <= start + 1
+    regime = wc.REGIMES["equal"]
+    regime.draw(gauss_equal_pair, wc.power_cost(1.5), grid, 2000, 1, None)
+    assert threading.active_count() == start
+    for _ in iter_bridge_paths(grid, 2000, 1, READS_BQ):
+        break
+    assert threading.active_count() == start
+
+    def failing(pair, cost, grid, p):
+        calls = []
+
+        def functional(bq):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("functional failed")
+            return grid.weights @ bq
+        return functional
+    with pytest.raises(RuntimeError, match="functional failed"):
+        replace(regime, functional=failing).draw(gauss_equal_pair, None, grid, 2000, 1, None)
+    assert threading.active_count() == start
+
+
+def test_bridges_leave_their_normals_unchanged(bump_pair_comonotone):
+    # _markov_bridge maps in place; grid.bridges copies before it does
+    pairs = [wc.equal_pair(wc.gaussian()), bump_pair_comonotone,
+             wc.make_pair(wc.gaussian(), wc.gaussian(0, 2), wc.gaussian_coupling(0.5))]
+    for pair in pairs:
+        grid = wc.build_bridge_grid(pair, m=63, delta=1e-4)
+        z = np.random.default_rng(3).standard_normal((64, 2 * grid.m)).T
+        before = z.copy()
+        grid.bridges(z)
+        assert np.array_equal(z, before)
+    y = z[:grid.m].copy()
+    assert limitlaw._markov_bridge(grid.u, grid.factor, y) is y
+
+
+def test_functional_one_sample_matches_out_of_place_power(gauss_grid, gauss_equal_pair):
+    bx = np.random.default_rng(5).standard_normal((gauss_grid.m, 64))
+    bx[::7, ::3] = 0.0
+    for p in (1.0, 1.5, 1.9):
+        got = limitlaw._functional_one_sample(gauss_equal_pair, None, gauss_grid, p)(bx)
+        assert np.array_equal(got, gauss_grid.weights @ (np.abs(bx) ** p)), p
