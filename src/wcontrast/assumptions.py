@@ -35,7 +35,7 @@ from .costs import CostSpec
 from .distributions import LEFT, RIGHT, DistSpec, PairSpec
 from .errors import ValidationError
 from .tails import (CONVERGENT, DIVERGENT, assess_tail, log_u_one_minus_u, probe_grid,
-                    quantile_rule, stabilized_running_max)
+                    stabilized_running_max)
 
 __all__ = [
     "CheckReport",
@@ -447,20 +447,6 @@ def check_w2_hypotheses(dist: DistSpec) -> CheckReport:
         subs.append(_integrability(f"W2H(integral,{name})", _w2_integrand_log(dist, side)))
     params = {"dist": dist.name, "t_hi": _Y_HI}
     return _combine("W2H", subs, params)
-
-
-def w2_variance_integral(dist: DistSpec) -> float:
-    """Full int_0^1 u(1-u)/h(u)^2 du: ``tails.quantile_rule`` on the central
-    [e^-5, 1 - e^-5] plus probed tail integrals with power-law extrapolation
-    beyond the probe range."""
-    t0 = 5.0
-    us, ws = quantile_rule(math.exp(-t0), 1 - math.exp(-t0))
-    h = np.asarray(dist.density_quantile(us), dtype=float)
-    total = float(ws @ (us * (1.0 - us) / h ** 2))
-    for side in (LEFT, RIGHT):
-        assessment = assess_tail(_w2_integrand_log(dist, side), t0, _Y_HI, n=400)
-        total += assessment.total
-    return total
 
 
 def check_compact(dist: DistSpec, cost: CostSpec, b_prime: float) -> CheckReport:

@@ -18,13 +18,16 @@ from one stream, derive_rng(seed, "draws"), in blocks of 512 draws;
 ``iter_bridge_paths`` maps block i while one worker thread fills block
 i + 1 in stream order, so the bytes do not depend on thread scheduling,
 and holds one extra block of normals for it (2 MB at m = 511, 4 MB at
-m = 1023). Each limit comes with an explicit bound on the truncated tail
-contribution derived from the edge integrability of the relevant
-functional.
+m = 1023). Each limit comes with a bound on what the clipping to
+[delta, 1 - delta] leaves out: one routine, ``_edge_bound``, integrates
+coef * w(u) sigma_bar(u)^b over each tail for the (coef, b, log w) terms
+that the regime states, sigma_bar a pointwise bound on the standard
+deviation of the process read.
 ``select_regime`` decides from the pair and the cost which limit theorem
 applies; its ``REGIMES`` table gives each theorem's checker, rate,
-centering, process read, limit functional and tail bound. ``Regime.draw``
-is the one routine that draws a functional; it does not run the checker,
+centering, process read, limit functional and tail-bound terms.
+``Regime.draw`` is the one routine that draws a functional and bounds its
+tail (0 for Bq on a degenerate grid); it does not run the checker,
 ``Regime.gate`` does.
 """
 
@@ -41,7 +44,7 @@ from scipy.special import ndtri
 from .assumptions import (PASS, check_cfg_e, check_cfg_ed, check_compact,
                           check_pareto_dominance, check_w2_hypotheses)
 from .costs import CostSpec, abs_moment_normal, derivative, rate_vn
-from .distributions import LEFT, RIGHT, DistSpec, PairSpec, equal_pair, two_increasing
+from .distributions import LEFT, RIGHT, DistSpec, PairSpec, two_increasing
 from .errors import (HypothesisError, NumericalError, TruncationError,
                      ValidationError)
 from .seeding import derive_rng
@@ -503,73 +506,71 @@ def _collect(grid: BridgeGrid, n_sim: int, seed: int, reads: str,
 # truncated-tail bounds
 # ---------------------------------------------------------------------------
 
-def _log_sigma_bar(pair: PairSpec, side: str, ts: np.ndarray) -> np.ndarray:
-    """log of sqrt(u(1-u)) (1/h_X + 1/h_Y) at tail depth t (a pointwise
-    upper bound for the standard deviation of the driving process)."""
-    lf_x = np.asarray(pair.dist_x.log_density_at_depth(side, ts), dtype=float)
-    lf_y = np.asarray(pair.dist_y.log_density_at_depth(side, ts), dtype=float)
-    return 0.5 * log_u_one_minus_u(ts) + np.logaddexp(-lf_x, -lf_y)
+def _log_sigma_bar(pair: PairSpec, side: str, ts: np.ndarray, reads: str) -> np.ndarray:
+    """log of a pointwise upper bound on the standard deviation of the process
+    ``reads`` at tail depth t: sqrt(u(1-u)) (1/h_X + 1/h_Y) for Bq,
+    sqrt(u(1-u))/h_X for B^X/h_X."""
+    log_inv_h = -np.asarray(pair.dist_x.log_density_at_depth(side, ts), dtype=float)
+    if reads == READS_BQ:
+        log_inv_h = np.logaddexp(
+            log_inv_h, -np.asarray(pair.dist_y.log_density_at_depth(side, ts), dtype=float))
+    return 0.5 * log_u_one_minus_u(ts) + log_inv_h
 
 
-def _one_sided_power_tail(pair: PairSpec, side: str, power: float, t0: float) -> float:
-    """int_{tail} sigma_bar(u)^power du, extrapolated beyond the probe range
-    (inf unless it converges)."""
-    assessment = assess_tail(lambda ts: power * _log_sigma_bar(pair, side, ts) - ts, t0)
-    return assessment.total if assessment.verdict == CONVERGENT else math.inf
+def _edge_bound(pair: PairSpec, delta: float, reads: str, terms: dict) -> float:
+    """Bound on what the clipped grid [delta, 1 - delta] leaves out of a
+    limit functional of the process ``reads``: the sum over the tails, and
+    over the terms (coef, b, log_w) that ``terms[side]`` lists for a tail, of
 
+        coef * int_tail w(u) sigma_bar(u)^b du,
 
-def truncated_tail_bound_E(pair: PairSpec, cost: CostSpec, delta: float) -> float:
-    """Bound on the mass of the equal-marginals limit functional outside
-    [delta, 1-delta]: per branch, pi * E 1_{sign} |N|^b <= pi * m_b/2 * sigma^b.
-    """
+    sigma_bar the bound of ``_log_sigma_bar`` and log w = log_w(t) at tail
+    depth t (w = 1 when log_w is None). Terms of one tail with the same
+    (b, log_w) are summed and integrated once by ``assess_tail``; the bound
+    is inf unless every integral converges. A weighted term is probed on 60
+    points to depth min(t0 + 30, 36), t0 = log(1/delta): its weight reads
+    tau at u itself, and 1 - u falls below one ulp of 1 past depth 36.7.
+    An unweighted term is probed to depth 1e6."""
     t0 = -math.log(delta)
     bound = 0.0
-    for pi, b in ((cost.pi_minus, cost.b_minus), (cost.pi_plus, cost.b_plus)):
-        if pi == 0.0:
-            continue
-        coef = pi * abs_moment_normal(b) / 2.0
-        for side in (LEFT, RIGHT):
-            bound += coef * _one_sided_power_tail(pair, side, b, t0)
+    for side, side_terms in terms.items():
+        merged = {}
+        for coef, b, log_w in side_terms:
+            if coef:
+                merged[b, log_w] = merged.get((b, log_w), 0.0) + coef
+        for (b, log_w), coef in merged.items():
+            probes = {} if log_w is None else dict(t_hi=min(t0 + 30.0, 36.0), n=60)
+
+            def log_g(ts, side=side, b=b, log_w=log_w):
+                log_f = b * _log_sigma_bar(pair, side, ts, reads) - ts
+                return log_f if log_w is None else log_f + log_w(ts)
+
+            assessment = assess_tail(log_g, t0, **probes)
+            bound += coef * assessment.total if assessment.verdict == CONVERGENT else math.inf
     return bound
 
 
-def truncated_tail_bound_W2(pair: PairSpec, delta: float) -> float:
-    t0 = -math.log(delta)
-    return sum(_one_sided_power_tail(pair, side, 2.0, t0) for side in (LEFT, RIGHT))
+def _terms_E(cost: CostSpec) -> tuple:
+    """The equal-marginals functional per branch: pi E 1_{sign} |N|^b <=
+    pi m_b/2 sigma^b."""
+    return tuple((pi * abs_moment_normal(b) / 2.0, b, None)
+                 for pi, b in ((cost.pi_minus, cost.b_minus), (cost.pi_plus, cost.b_plus)))
 
 
-def truncated_tail_bound_one_sample(dist: DistSpec, p: float, delta: float) -> float:
-    pair = equal_pair(dist)   # sigma_bar then uses 2/h; compensate by 2^-p
-    t0 = -math.log(delta)
-    coef = abs_moment_normal(p) / 2.0 ** p
-    return coef * sum(_one_sided_power_tail(pair, side, p, t0) for side in (LEFT, RIGHT))
-
-
-def truncated_tail_bound_ED(pair: PairSpec, cost: CostSpec, delta: float) -> float:
-    """Bound for the mixed limit: linear Gaussian term on D-labeled tails,
-    equal-marginals terms (b = 1 branches) on E-labeled tails."""
-    t0 = -math.log(delta)
-    bound = 0.0
+def _terms_ED(pair: PairSpec, cost: CostSpec, p: float, side: str) -> tuple:
+    """The sqrt(n) limit: E|rho'(tau) N| sigma on a D-labeled tail; the
+    b = 1 branches' L_pm(0) m_1/2 sigma on an E-labeled one."""
     m1 = abs_moment_normal(1.0)
-    for side, label in ((LEFT, pair.partition.left_label),
-                        (RIGHT, pair.partition.right_label)):
-        if label == "D":
+    label = pair.partition.left_label if side == LEFT else pair.partition.right_label
+    if label == "E":
+        return tuple((L0 * m1 / 2.0, 1.0, None) for L0, b in
+                     ((cost.L0_minus, cost.b_minus), (cost.L0_plus, cost.b_plus)) if b == 1.0)
 
-            def log_g(ts, side=side):
-                tau = pair.tau(np.clip(depth_u(side, ts), 1e-300, 1.0 - 1e-16))
-                w = np.abs(derivative(cost, np.where(tau == 0.0, 1e-300, tau)))
-                with np.errstate(divide="ignore"):
-                    return np.log(np.maximum(w, 1e-300)) \
-                        + _log_sigma_bar(pair, side, ts) - ts + math.log(m1)
-
-            assessment = assess_tail(log_g, t0, t_hi=min(t0 + 30.0, 36.0), n=60)
-            bound += assessment.total if assessment.verdict == CONVERGENT else math.inf
-        else:
-            for coef, b in ((cost.L0_minus, cost.b_minus), (cost.L0_plus, cost.b_plus)):
-                if coef is None or b != 1.0:
-                    continue
-                bound += coef * (m1 / 2.0) * _one_sided_power_tail(pair, side, 1.0, t0)
-    return bound
+    def log_w(ts):
+        tau = pair.tau(np.clip(depth_u(side, ts), 1e-300, 1.0 - 1e-16))
+        w = np.abs(derivative(cost, np.where(tau == 0.0, 1e-300, tau)))
+        return np.log(np.maximum(w, 1e-300))
+    return ((m1, 1.0, log_w),)
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +646,10 @@ class Regime:
     ``check(pair, cost, p)``, the ``rate(n, cost, p)`` of the statistic,
     whether that is ``centred`` at W(F, G), the process it ``reads``
     (READS_BQ or READS_X), its limit ``functional(pair, cost, grid, p)`` of
-    that process and the ``tail_bound(pair, cost, grid, p)`` on what the
-    delta-clipped grid leaves out; only one_sample reads p."""
+    that process and the ``edge_terms(pair, cost, p, side)`` of its
+    truncated-tail bound: the (coef, b, log_w) terms that ``_edge_bound``
+    integrates over each tail the delta-clipped grid leaves out. Only
+    one_sample reads p."""
 
     label: str
     applies: Callable
@@ -655,7 +658,7 @@ class Regime:
     centred: bool
     reads: str
     functional: Callable
-    tail_bound: Callable
+    edge_terms: Callable
 
     def gate(self, pair: PairSpec, cost: Optional[CostSpec], p: float = 0.0,
              override: bool = False, what: Optional[str] = None) -> tuple:
@@ -674,13 +677,19 @@ class Regime:
     def draw(self, pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid, n_sim: int,
              seed: int, tail_frac: Optional[float], p: float = 0.0) -> LimitDraws:
         """n_sim unchecked draws of this theorem's functional on ``grid``,
-        with the tail bound; given ``tail_frac``, the bound must stay below
-        that share of the median |draw|, else TruncationError."""
+        with the tail bound (0 for Bq on a degenerate grid, where it
+        vanishes); given ``tail_frac``, the bound must stay below that share
+        of the median |draw|, else TruncationError."""
         if n_sim < 1:
             raise ValidationError(f"limit draws require n_sim >= 1; got {n_sim}")
         values = _collect(grid, n_sim, seed, self.reads,
                           self.functional(pair, cost, grid, p))
-        bound = self.tail_bound(pair, cost, grid, p)
+        if self.reads == READS_BQ and grid.degenerate:
+            bound = 0.0
+        else:
+            bound = _edge_bound(pair, grid.delta, self.reads,
+                                {side: self.edge_terms(pair, cost, p, side)
+                                 for side in (LEFT, RIGHT)})
         if tail_frac is not None:
             med = float(np.median(np.abs(values)))
             if not math.isfinite(bound) or bound > tail_frac * max(med, 1e-300):
@@ -733,45 +742,36 @@ def _check_one_sample(pair: PairSpec, cost: Optional[CostSpec], p: float):
     return check_pareto_dominance(pair.dist_x, 2.0 * (p + 2.0) / (2.0 - p))
 
 
-def _tail_bound_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float) -> float:
-    return 0.0 if grid.degenerate else truncated_tail_bound_ED(pair, cost, grid.delta)
-
-
-# Checkers and tail bounds are called through their module-level names,
+# Checkers and ``_edge_bound`` are called through their module-level names,
 # looked up at call time, so a wrapper set on such a name sees every call.
-# The two-sample tail bounds are 0 on a degenerate grid, where Bq vanishes.
 REGIMES = {r.label: r for r in (
     Regime(THEOREM_EQUAL,
            lambda pair, cost: pair.partition.is_all_E and (_bounded(pair.dist_x)
                                                            or cost.b < 2.0),
            _check_equal, lambda n, cost, p: rate_vn(cost, n), False,
-           READS_BQ, _functional_E,
-           lambda pair, cost, grid, p: 0.0 if grid.degenerate
-           else truncated_tail_bound_E(pair, cost, grid.delta)),
+           READS_BQ, _functional_E, lambda pair, cost, p, side: _terms_E(cost)),
     Regime(THEOREM_QUADRATIC,
            lambda pair, cost: (pair.partition.is_all_E and not _bounded(pair.dist_x)
                                and _is_quadratic_near_zero(cost)),
            lambda pair, cost, p: check_w2_hypotheses(pair.dist_x),
            lambda n, cost, p: float(n), False, READS_BQ, _functional_W2,
-           lambda pair, cost, grid, p: 0.0 if grid.degenerate
-           else truncated_tail_bound_W2(pair, grid.delta)),
+           lambda pair, cost, p, side: ((1.0, 2.0, None),)),
     Regime(THEOREM_GAUSSIAN,
            lambda pair, cost: pair.partition.has_D and (
                cost.b > 1.0 or (cost.b == 1.0 and pair.partition.is_all_D)),
            lambda pair, cost, p: check_cfg_ed(pair, cost),
            lambda n, cost, p: math.sqrt(n), True,
-           READS_BQ, _functional_ED, _tail_bound_ED),
+           READS_BQ, _functional_ED, _terms_ED),
     Regime(THEOREM_MIXED,
            lambda pair, cost: (pair.partition.has_D and pair.partition.has_E
                                and cost.b == 1.0 and _finite_L0(cost)),
            lambda pair, cost, p: check_cfg_ed(pair, cost),
            lambda n, cost, p: math.sqrt(n), True,
-           READS_BQ, _functional_ED, _tail_bound_ED),
+           READS_BQ, _functional_ED, _terms_ED),
     # chosen only by its label
     Regime(THEOREM_ONE_SAMPLE, lambda pair, cost: False, _check_one_sample,
            lambda n, cost, p: n ** (p / 2.0), False, READS_X, _functional_one_sample,
-           lambda pair, cost, grid, p: truncated_tail_bound_one_sample(pair.dist_x, p,
-                                                                       grid.delta)),
+           lambda pair, cost, p, side: ((abs_moment_normal(p), p, None),)),
 )}
 
 
@@ -801,7 +801,9 @@ def select_regime(pair: PairSpec, cost: Optional[CostSpec],
 
 def bridge_cov_kernel(pair: PairSpec, us: np.ndarray, vs: Optional[np.ndarray] = None
                       ) -> np.ndarray:
-    """Cov(Bq(u), Bq(v)) assembled from the four covariance blocks."""
+    """Cov(Bq(u), Bq(v)) assembled from the four covariance blocks, the
+    cross blocks C(u,v) - uv read from the coupling's copula (exactly 0 for
+    an independent pair and the bridge kernel for a comonotone one)."""
     us = np.asarray(us, dtype=float)
     same = vs is None
     vs = us if same else np.asarray(vs, dtype=float)
@@ -809,33 +811,21 @@ def bridge_cov_kernel(pair: PairSpec, us: np.ndarray, vs: Optional[np.ndarray] =
     hy_u = np.asarray(pair.dist_y.density_quantile(us), dtype=float)
     hx_v = np.asarray(pair.dist_x.density_quantile(vs), dtype=float)
     hy_v = np.asarray(pair.dist_y.density_quantile(vs), dtype=float)
-    K = np.minimum.outer(us, vs) - np.outer(us, vs)
-    if pair.coupling.kind == "independent":
-        cross_uv = np.zeros_like(K)
-        cross_vu = np.zeros_like(K)
-    elif pair.coupling.kind == "comonotone":
-        cross_uv = K
-        cross_vu = K
-    else:
-        cross_uv = np.asarray(pair.coupling.copula(us[:, None], vs[None, :]), dtype=float) \
-            - np.outer(us, vs)
-        # with vs = us, C(v_j, u_i) is cross_uv[j, i]: one copula evaluation
-        cross_vu = cross_uv.T if same else (
-            np.asarray(pair.coupling.copula(vs[:, None], us[None, :]), dtype=float).T
-            - np.outer(us, vs))
+    uv = np.outer(us, vs)
+    K = np.minimum.outer(us, vs) - uv
+    cross_uv = pair.coupling.copula(us[:, None], vs[None, :]) - uv
+    # with vs = us, C(v_j, u_i) is cross_uv[j, i]: one copula evaluation
+    cross_vu = cross_uv.T if same else pair.coupling.copula(vs[:, None], us[None, :]).T - uv
     return (K / np.outer(hx_u, hx_v) + K / np.outer(hy_u, hy_v)
             - cross_uv / np.outer(hx_u, hy_v) - cross_vu / np.outer(hy_u, hx_v))
 
 
 def grid_mean_oracle_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid) -> float:
-    """E of the equal-marginals functional on the grid: per branch,
-    pi * m_b/2 * sigma(u)^b under the exact pointwise variance."""
+    """E of the equal-marginals functional on the grid: the sum over its
+    edge terms (coef, b) of coef * sigma(u)^b under the exact pointwise
+    variance."""
     sd = np.sqrt(grid.var_bridge_diag)
-    total = 0.0
-    for pi, b in ((cost.pi_minus, cost.b_minus), (cost.pi_plus, cost.b_plus)):
-        if pi:
-            total += pi * abs_moment_normal(b) / 2.0 * float(grid.weights @ sd ** b)
-    return total
+    return sum(coef * float(grid.weights @ sd ** b) for coef, b, _ in _terms_E(cost))
 
 
 def grid_mean_oracle_W2(pair: PairSpec, grid: BridgeGrid) -> float:

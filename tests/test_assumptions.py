@@ -8,7 +8,7 @@ from scipy import stats
 import wcontrast as wc
 from tests.conftest import exp_growth_cost
 from wcontrast import assumptions
-from wcontrast.assumptions import FAIL, PASS, w2_variance_integral
+from wcontrast.assumptions import FAIL, PASS
 from wcontrast.distributions import dist_from_scipy
 from wcontrast.errors import ValidationError
 
@@ -154,14 +154,6 @@ def test_w2_hypotheses_worked_examples():
     assert wc.check_w2_hypotheses(wc.weibull(3.0)).verdict == PASS
     assert wc.check_w2_hypotheses(wc.weibull(1.5)).verdict == FAIL
     assert wc.check_w2_hypotheses(wc.gaussian()).verdict == FAIL
-
-
-def test_w2_variance_integral_weibull3():
-    # closed form: int u(1-u)/h^2 du = Gamma(2/3) * 3/9 ... = (1/9) * 3 Gamma(2/3)
-    import math
-    expected = math.gamma(2 / 3) / 3
-    val = w2_variance_integral(wc.weibull(3.0))
-    assert val == pytest.approx(expected, rel=5e-3)
 
 
 def test_compact_worked_examples():

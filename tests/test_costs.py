@@ -175,6 +175,33 @@ def test_spliced_probes_pi_numerically():
     assert not cost.tail_regularity_declared
 
 
+def test_pi_of_unequal_indices_is_exact():
+    # indices 0.3 apart: rho_-/rho decays only like x^0.3, so at x = 1e-4 it
+    # is still 0.016, yet the limit is 0 and pi = (0, 1) exactly
+    cost = wc.asymmetric_power_cost((0.5, 2.0), (1.5, 1.2))
+    assert (cost.pi_minus, cost.pi_plus) == (0.0, 1.0)
+
+    def rho_m(x):
+        return 0.5 * np.asarray(x, dtype=float) ** 1.5
+
+    def rho_p(x):
+        return 2.0 * np.asarray(x, dtype=float) ** 1.2
+
+    spliced = wc.spliced_cost(rho_m, rho_p, b=(1.5, 1.2))
+    assert (spliced.pi_minus, spliced.pi_plus) == (0.0, 1.0)
+
+
+def test_spliced_pi_of_equal_indices_is_the_branch_ratio():
+    def rho_m(x):
+        return 3.0 * np.asarray(x, dtype=float) ** 1.5
+
+    def rho_p(x):
+        return 1.5 * np.asarray(x, dtype=float) ** 1.5
+
+    cost = wc.spliced_cost(rho_m, rho_p, b=(1.5, 1.5))
+    assert (cost.pi_minus, cost.pi_plus) == (1.0, 0.5)
+
+
 def test_spliced_rejects_nonconvex():
     def rho(x):
         return np.sqrt(np.asarray(x, dtype=float))

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import os
 import pickle
@@ -359,6 +361,25 @@ def test_kernel_evaluates_copula_once():
     assert np.max(np.abs(kernel - two_eval)) <= 1e-15 * np.max(np.abs(two_eval))
 
 
+@pytest.mark.parametrize("given_vs", [False, True])
+@pytest.mark.parametrize("kind", ["independent", "comonotone"])
+def test_bridge_cov_kernel_reads_structured_copulas_exactly(kind, given_vs):
+    # C - uv from the copula is exactly 0 (independent) or the bridge kernel
+    # (comonotone), so the kernel is the four blocks written out
+    coupling = wc.independent() if kind == "independent" else wc.comonotone()
+    pair = wc.make_pair(wc.gaussian(), wc.weibull(3.0), coupling)
+    us = np.linspace(0.01, 0.99, 37)
+    vs = np.linspace(0.02, 0.97, 23) if given_vs else us
+    hx_u, hx_v = pair.dist_x.density_quantile(us), pair.dist_x.density_quantile(vs)
+    hy_u, hy_v = pair.dist_y.density_quantile(us), pair.dist_y.density_quantile(vs)
+    K = np.minimum.outer(us, vs) - np.outer(us, vs)
+    cross = K if kind == "comonotone" else np.zeros_like(K)
+    want = (K / np.outer(hx_u, hx_v) + K / np.outer(hy_u, hy_v)
+            - cross / np.outer(hx_u, hy_v) - cross / np.outer(hy_u, hx_v))
+    got = bridge_cov_kernel(pair, us, vs if given_vs else None)
+    assert np.array_equal(got, want)
+
+
 def test_kernel_symmetry_psd(gauss_shift_pair):
     us = np.linspace(0.01, 0.99, 60)
     K = bridge_cov_kernel(gauss_shift_pair, us)
@@ -514,6 +535,85 @@ def test_truncation_error_raised_when_bound_large():
     grid = wc.build_bridge_grid(pair, m=255, delta=1e-4)
     with pytest.raises(TruncationError, match="shrink delta"):
         wc.REGIMES["quadratic"].draw(pair, None, grid, 200, 15, tail_frac=0.05)
+
+
+# Each regime's truncated-tail bound at delta = 1e-4, as the four per-regime
+# bound routines gave it before ``_edge_bound`` replaced them:
+# (regime, pair, cost, p, bound). "asym" has pi = (0, 1).
+_EDGE_BOUNDS = [
+    ("equal", "gaussian", "power(1.5)", 0.0, 0.19468767717791627),
+    ("equal", "beta", "power(2.5)", 0.0, 6.581932057383901e-05),
+    ("equal", "weibull", "power(1.5)", 0.0, 0.015928166495814654),
+    ("equal", "weibull", "pinball(0.3)", 0.0, 0.0017848018754245472),
+    ("equal", "gaussian", "asym", 0.0, 0.019845530609135197),
+    ("quadratic", "weibull", "power(2)", 0.0, 0.6384087782587794),
+    ("one_sample", "gaussian", None, 1.5, 0.06883248837298102),
+    ("one_sample", "weibull", None, 1.0, 0.001249361312797183),
+    ("one_sample", "beta", None, 1.5, 2.8032916038518553e-05),
+    ("gaussian", "shift", "power(2)", 0.0, 0.02930822979103715),
+    ("gaussian", "shift", "power(1.5)", 0.0, 0.021981172343277865),
+    ("mixed", "bump", "power(1)", 0.0, 0.014877913798365332),
+    ("mixed", "bump", "pinball(0.3)", 0.0, 0.007438956899182664),
+]
+_EDGE_COSTS = {
+    "power(1)": lambda: wc.power_cost(1.0),
+    "power(1.5)": lambda: wc.power_cost(1.5),
+    "power(2)": lambda: wc.power_cost(2.0),
+    "power(2.5)": lambda: wc.power_cost(2.5),
+    "pinball(0.3)": lambda: wc.pinball_cost(0.3),
+    "asym": lambda: wc.asymmetric_power_cost((1.0, 1.0), (2.0, 1.2)),
+    None: lambda: None,
+}
+
+
+@pytest.mark.parametrize("label, pair_name, cost_name, p, want", _EDGE_BOUNDS,
+                         ids=[f"{c[0]}-{c[1]}-{c[2] or c[3]}" for c in _EDGE_BOUNDS])
+def test_edge_bound_keeps_every_regime_bound(label, pair_name, cost_name, p, want,
+                                             gauss_shift_pair, bump_pair_comonotone):
+    pairs = {"gaussian": wc.equal_pair(wc.gaussian()),
+             "beta": wc.equal_pair(wc.beta_dist(2, 2)),
+             "weibull": wc.equal_pair(wc.weibull(3.0)),
+             "shift": gauss_shift_pair, "bump": bump_pair_comonotone}
+    pair, cost = pairs[pair_name], _EDGE_COSTS[cost_name]()
+    grid = wc.build_bridge_grid(pair, m=16, delta=1e-4)
+    got = wc.REGIMES[label].draw(pair, cost, grid, 1, 0, None, p).tail_bound
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_quadratic_bound_is_the_equal_bound_of_power2():
+    # equal under power(2): two branches of m_2/2 = 1/2 at b = 2, one integral
+    pair, cost = wc.equal_pair(wc.weibull(3.0)), wc.power_cost(2.0)
+    grid = wc.build_bridge_grid(pair, m=16, delta=1e-4)
+    quadratic = wc.REGIMES["quadratic"].draw(pair, cost, grid, 1, 0, None).tail_bound
+    equal = wc.REGIMES["equal"].draw(pair, cost, grid, 1, 0, None).tail_bound
+    assert equal == pytest.approx(quadratic, rel=1e-15, abs=0.0)
+
+
+def test_degenerate_zero_bound_is_for_bq_only():
+    # a comonotone equal pair: Bq = 0, but the one-sample B^X/h_X is not
+    pair = wc.equal_pair(wc.gaussian(), wc.comonotone())
+    grid = wc.build_bridge_grid(pair, m=16, delta=1e-4)
+    assert grid.degenerate
+    assert wc.REGIMES["equal"].draw(pair, wc.power_cost(1.5), grid, 1, 0, None).tail_bound == 0.0
+    one = wc.REGIMES["one_sample"].draw(pair, None, grid, 1, 0, None, p=1.5).tail_bound
+    assert one == pytest.approx(0.06883248837298102, rel=1e-12, abs=0.0)
+
+
+def test_edge_bound_is_the_only_tail_integral():
+    tree = ast.parse(inspect.getsource(limitlaw))
+
+    def calls(node):
+        return sum(isinstance(n, ast.Call) and "assess_tail" in (getattr(n.func, "id", None),
+                                                                getattr(n.func, "attr", None))
+                   for n in ast.walk(node))
+
+    edge = [f for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "_edge_bound"]
+    assert len(edge) == 1 and calls(edge[0]) == calls(tree) >= 1
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+        n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not [n for n in names if n.startswith("truncated_tail_bound_")
+                or n in ("_one_sided_power_tail", "_tail_bound_ED")]
 
 
 def test_sigma2_hoeffding_oracle(gauss_shift_pair):
