@@ -10,7 +10,7 @@ from .distributions import (CouplingSpec, DistSpec, PairSpec, Partition,
                             beta_dist, builtin_dist, bump_warp, comonotone,
                             custom_coupling, equal_pair, exponential, gaussian,
                             gaussian_coupling, independent, log_edge_dist,
-                            make_pair, pareto, quantile_difference,
+                            make_pair, pair_uniforms, pareto, quantile_difference,
                             sample_pairs, uniform, warped_dist, weibull)
 from .errors import (DomainError, HypothesisError, IntegrabilityError,
                      NumericalError, TruncationError, ValidationError,

@@ -60,6 +60,7 @@ __all__ = [
     "equal_pair",
     "make_pair",
     "bump_warp",
+    "pair_uniforms",
     "sample_pairs",
     "quantile_difference",
     "bvn_cdf",
@@ -1055,18 +1056,25 @@ def bump_warp(amplitude: float, lo: float, hi: float):
 # sampling and quantile differences
 # ---------------------------------------------------------------------------
 
+def pair_uniforms(pair: PairSpec, n: int, seed: int):
+    """The copula uniforms (U, V) behind ``sample_pairs(pair, n, seed)``: n
+    draws of the coupling from the stream derive_rng(seed, "pairs",
+    fingerprint, n). The one definition of that stream."""
+    if n < 1:
+        raise ValidationError("sample_pairs requires n >= 1")
+    rng = derive_rng(int(seed), "pairs", pair.fingerprint(), int(n))
+    return pair.coupling.sample_uv(int(n), rng)
+
+
 def sample_pairs(pair: PairSpec, n: int, seed: int):
-    """n aligned pairs: (U,V) from the copula, then marginal quantiles.
+    """n aligned pairs: the marginal quantiles of ``pair_uniforms``.
 
     Deterministic given (pair, n, seed); byte-identical across runs and
     worker counts.
     """
     from .estimator import PairedSample
 
-    if n < 1:
-        raise ValidationError("sample_pairs requires n >= 1")
-    rng = derive_rng(int(seed), "pairs", pair.fingerprint(), int(n))
-    u, v = pair.coupling.sample_uv(int(n), rng)
+    u, v = pair_uniforms(pair, n, seed)
     xs = np.asarray(pair.dist_x.quantile(u), dtype=float)
     ys = np.asarray(pair.dist_y.quantile(v), dtype=float)
     return PairedSample(xs=xs, ys=ys, provenance="simulated")

@@ -10,6 +10,15 @@ come from ``limitlaw.REGIMES``. Everything is deterministic given the
 master seed: replication i uses a generator derived from (seed, "rep", i)
 and the limit draws one stream derived from (seed, "draws"), so each
 replication's statistic depends only on the seed and its index.
+
+Replications are sampled in chunks of max(1, 2**16 // n). Each draws its
+uniforms from its own stream (``distributions.pair_uniforms``, or the
+one-sample U), each marginal's quantile runs once on the chunk's
+concatenated uniforms, split between the calling thread and one worker
+thread, and each statistic is reduced from its own slice. Quantiles are
+pointwise, so the bytes depend on neither the chunk nor the split. A chunk
+holds a few arrays of 2**16 doubles (0.5 MB each); the worker lives for
+one ``run_clt_study`` call and is joined when it returns or raises.
 """
 
 from __future__ import annotations
@@ -19,9 +28,10 @@ import json
 import math
 import platform
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy
@@ -31,7 +41,7 @@ from . import costs as costs_mod
 from . import distributions as dist_mod
 from .costs import CostSpec
 from .distributions import (CouplingSpec, Partition, PairSpec, bump_warp,
-                            sample_pairs, warped_dist)
+                            pair_uniforms, warped_dist)
 from .errors import ValidationError
 from .estimator import PairedSample, w_cost_empirical, w_cost_population
 from .inference import wp_distance_to_dist
@@ -51,6 +61,7 @@ __all__ = [
 ]
 
 _RAISE_TAIL_FRAC = 0.05   # tail_policy "raise": largest tail bound / median |draw|
+_CHUNK_POINTS = 2 ** 16   # sample points per chunk of replications
 
 
 @dataclass(frozen=True)
@@ -130,20 +141,25 @@ class StudyResult:
             "statistics": {
                 "count": int(len(stats)),
                 "mean": float(np.mean(stats)),
-                "std": float(np.std(stats, ddof=1)) if len(stats) > 1 else 0.0,
+                "std": _sample_std(stats),
                 "quantiles": {q: float(np.quantile(stats, q))
                               for q in (0.05, 0.25, 0.5, 0.75, 0.95)},
             },
             "limit_draws": {
                 "count": int(self.draws.n_sim),
                 "mean": float(np.mean(self.draws.values)),
-                "std": float(np.std(self.draws.values, ddof=1)),
+                "std": _sample_std(self.draws.values),
                 "tail_bound": self.draws.tail_bound,
                 "theorem": self.draws.theorem,
                 "grid": self.draws.grid_meta,
             },
             "environment": self.environment,
         }
+
+
+def _sample_std(values: np.ndarray) -> float:
+    # one value has no spread to estimate: 0.0, not numpy's nan (invalid JSON)
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
 
 def _environment_fingerprint() -> dict:
@@ -153,18 +169,6 @@ def _environment_fingerprint() -> dict:
         "scipy": scipy.__version__,
         "platform": platform.platform(),
     }
-
-
-def _statistic(config: ExperimentConfig, index: int, scale: float,
-               centering: float) -> float:
-    if config.theorem == THEOREM_ONE_SAMPLE:
-        rng = derive_rng(config.seed, "rep", index)
-        xs = config.pair.dist_x.quantile(rng.random(config.n))
-        w = wp_distance_to_dist(np.asarray(xs, dtype=float), config.pair.dist_x, config.p)
-    else:
-        sample = sample_pairs(config.pair, config.n, derive_seed_int(config.seed, index))
-        w = w_cost_empirical(sample, config.cost)
-    return scale * (w - centering)
 
 
 class KSDistance(NamedTuple):
@@ -197,8 +201,62 @@ def ks_2samp(a, b) -> KSDistance:
 
 
 def derive_seed_int(seed: int, index: int) -> int:
-    # per-replication sampling seed; sample_pairs derives its own stream from it
+    # per-replication sampling seed; pair_uniforms derives its own stream from it
     return int(derive_rng(seed, "rep", index).integers(0, 2 ** 62))
+
+
+def _uniforms(config: ExperimentConfig, index: int) -> tuple:
+    """Replication ``index``'s uniforms: (U, V) of its paired sample, or the
+    one-sample U."""
+    if config.theorem == THEOREM_ONE_SAMPLE:
+        return (derive_rng(config.seed, "rep", index).random(config.n),)
+    return pair_uniforms(config.pair, config.n, derive_seed_int(config.seed, index))
+
+
+def _quantiles(worker: ThreadPoolExecutor, dists: tuple, uniforms: list) -> list:
+    """Each marginal's quantile at its uniforms: the first half of every
+    array on the worker, the rest on this thread (the special functions
+    release the GIL). Quantiles are pointwise, so the split leaves the
+    values as they are."""
+    half = len(uniforms[0]) // 2
+
+    def evaluate(lo, hi):
+        return [np.asarray(dist.quantile(u[lo:hi]), dtype=float)
+                for dist, u in zip(dists, uniforms)]
+
+    pending = worker.submit(evaluate, 0, half) if half else None
+    rest = evaluate(half, None)
+    if pending is None:
+        return rest
+    return [np.concatenate(parts) for parts in zip(pending.result(), rest)]
+
+
+def _replication_statistics(config: ExperimentConfig, scale: float,
+                            centering: float) -> np.ndarray:
+    """``scale * (w - centering)`` for each replication, where w is the
+    contrast of its paired sample, or the one-sample W_p^p distance, in
+    chunks of about ``_CHUNK_POINTS`` sample points (see the module notes).
+    """
+    n, reps = config.n, config.replications
+    per_chunk = max(1, _CHUNK_POINTS // n)
+    one_sample = config.theorem == THEOREM_ONE_SAMPLE
+    pair = config.pair
+    dists = (pair.dist_x,) if one_sample else (pair.dist_x, pair.dist_y)
+    out = np.empty(reps)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for start in range(0, reps, per_chunk):
+            chunk = range(start, min(start + per_chunk, reps))
+            uniforms = [np.concatenate(us) for us in zip(*(_uniforms(config, i) for i in chunk))]
+            values = _quantiles(worker, dists, uniforms)
+            for j, i in enumerate(chunk):
+                part = [v[j * n:(j + 1) * n] for v in values]
+                if one_sample:
+                    w = wp_distance_to_dist(part[0], pair.dist_x, config.p)
+                else:
+                    w = w_cost_empirical(PairedSample(*part, provenance="simulated"),
+                                         config.cost)
+                out[i] = scale * (w - centering)
+    return out
 
 
 def run_clt_study(config: ExperimentConfig) -> StudyResult:
@@ -216,8 +274,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyResult:
     centering = 0.0
     if regime.centred:
         centering = w_cost_population(config.pair, config.cost).total
-    statistics = np.asarray([_statistic(config, i, scale, centering)
-                             for i in range(config.replications)], dtype=float)
+    statistics = _replication_statistics(config, scale, centering)
 
     if np.all(statistics == statistics[0]) and np.all(draws.values == draws.values[0]) \
             and statistics[0] == draws.values[0]:
@@ -373,6 +430,24 @@ def resolve_pair(spec: dict) -> PairSpec:
     return PairSpec(dist_x, dist_y, coupling, partition)
 
 
+def _integer(key: str) -> Callable:
+    """Cast of config key ``key`` to int: ints, integral floats and strings
+    that read as either pass; bools, fractions and other strings raise."""
+    def cast(value) -> int:
+        for parse in (int, float) if isinstance(value, str) else ():
+            try:
+                value = parse(value)
+                break
+            except ValueError:
+                pass
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValidationError(f"config key {key!r} must be an integer; got {value!r}")
+    return cast
+
+
 def load_config(path, seed_override: Optional[int] = None,
                 out_override: Optional[str] = None) -> ExperimentConfig:
     """Read a YAML experiment file into a fully resolved configuration."""
@@ -386,17 +461,18 @@ def load_config(path, seed_override: Optional[int] = None,
     try:
         grid = raw.get("grid", {})
         # keys left out of the file keep ExperimentConfig's defaults
-        given = {"grid_m": (grid.get("m"), int), "grid_delta": (grid.get("delta"), float),
-                 "n_sim": (raw.get("n_sim"), int), "p": (raw.get("p"), float),
+        given = {"grid_m": (grid.get("m"), _integer("grid.m")),
+                 "grid_delta": (grid.get("delta"), float),
+                 "n_sim": (raw.get("n_sim"), _integer("n_sim")), "p": (raw.get("p"), float),
                  "tail_policy": (raw.get("tail_policy"), str),
                  "check_policy": (raw.get("check_policy"), str)}
         config = ExperimentConfig(
             pair=resolve_pair(raw["pair"]),
             cost=resolve_cost(raw["cost"]),
             theorem=raw.get("theorem"),
-            n=int(raw["n"]),
-            replications=int(raw.get("replications", 1)),
-            seed=int(seed),
+            n=_integer("n")(raw["n"]),
+            replications=_integer("replications")(raw.get("replications", 1)),
+            seed=_integer("seed")(seed),
             out=out_override or raw.get("out"),
             **{key: cast(value) for key, (value, cast) in given.items()
                if value is not None},

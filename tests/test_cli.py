@@ -204,3 +204,30 @@ def test_negative_seed_exit_code(data_csv, null_yaml, study_yaml, tmp_path, caps
     assert "seed" in capsys.readouterr().err
     with pytest.raises(ValidationError, match="seed"):
         wc.derive_rng(-1, "draws")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("seed: 42", "seed: 3.7"), ("seed: 42", "seed: true"), ("seed: 42", "seed: abc"),
+    ("n: 150", "n: 10.5"), ("n: 150", "n: abc"), ("n: 150", "n: false"),
+    ("replications: 40", "replications: 2.5"), ("replications: 40", "replications: true"),
+    ("replications: 40", "replications: many"),
+    ("n_sim: 200", "n_sim: 200.5"), ("n_sim: 200", "n_sim: true"), ("n_sim: 200", "n_sim: lots"),
+    ("m: 127", "m: 63.5"), ("m: 127", "m: true"), ("m: 127", "m: big"),
+])
+def test_non_integer_config_exit_code(study_yaml, tmp_path, capsys, old, new):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(study_yaml.read_text().replace(old, new))
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(cfg), "--out", str(out)]) == 2
+    key = old.split(":")[0]
+    assert f"'{'grid.m' if key == 'm' else key}' must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_config_values_are_integers(study_yaml, tmp_path):
+    cfg = tmp_path / "ok.yaml"
+    cfg.write_text(study_yaml.read_text().replace("seed: 42", "seed: 42.0")
+                   .replace("n: 150", "n: '150'").replace("m: 127", "m: 1.27e2"))
+    config = wc.load_config(cfg)
+    assert (config.seed, config.n, config.grid_m) == (42, 150, 127)
+    assert all(type(v) is int for v in (config.seed, config.n, config.grid_m))

@@ -1,4 +1,7 @@
 import json
+import threading
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +9,12 @@ import pytest
 from scipy import stats
 
 import wcontrast as wc
+from wcontrast import harness
 from wcontrast.errors import ValidationError
-from wcontrast.harness import ExperimentConfig, ks_2samp, load_config, run_clt_study
+from wcontrast.harness import (ExperimentConfig, derive_seed_int, ks_2samp, load_config,
+                               run_clt_study)
+from wcontrast.limitlaw import REGIMES
+from wcontrast.seeding import derive_rng
 
 
 def small_config(pair, cost, theorem, seed=314, **kw):
@@ -188,3 +195,123 @@ def test_load_config_requires_seed(tmp_path):
     cfg.write_text("n: 10\ncost: {family: power, p: 1}\npair:\n  x: {family: gaussian}\n")
     with pytest.raises(ValidationError, match="seed"):
         load_config(cfg)
+
+
+def _reference_statistics(config, scale, centering):
+    """Each replication's statistic from its own sample, drawn and reduced
+    one replication at a time."""
+    out = []
+    for i in range(config.replications):
+        if config.theorem == "one_sample":
+            us = derive_rng(config.seed, "rep", i).random(config.n)
+            xs = np.asarray(config.pair.dist_x.quantile(us), dtype=float)
+            w = wc.wp_distance_to_dist(xs, config.pair.dist_x, config.p)
+        else:
+            sample = wc.sample_pairs(config.pair, config.n, derive_seed_int(config.seed, i))
+            w = wc.w_cost_empirical(sample, config.cost)
+        out.append(scale * (w - centering))
+    return np.asarray(out, dtype=float)
+
+
+def _fgm(u, v, theta=0.5):
+    return u * v * (1.0 + theta * (1.0 - u) * (1.0 - v))
+
+
+_BETA = wc.equal_pair(wc.beta_dist(2, 2))
+_GAUSS = wc.equal_pair(wc.gaussian())
+
+# (pair or its fixture, cost power and one-sample p, theorem, n, replications)
+_CHUNK_CASES = {
+    # 200 points a replication: chunks of 327, 327 and 46 replications
+    "beta independent, R not a multiple": (_BETA, 2.5, None, 200, 700),
+    "bump comonotone": ("bump_pair_comonotone", 1.0, None, 2000, 40),
+    "gaussian copula": (wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5)),
+                        1.5, None, 300, 30),
+    "custom copula": (wc.equal_pair(wc.gaussian(), wc.custom_coupling(_fgm)),
+                      1.5, None, 100, 4),
+    "one sample": (_GAUSS, 1.0, "one_sample", 500, 150),
+    # more than 2**16 points a replication: one replication a chunk
+    "beta, n > 2**16": (_BETA, 2.5, None, 70000, 3),
+    "one sample, n > 2**16": (_GAUSS, 1.0, "one_sample", 70000, 2),
+    "R = 1": (_BETA, 2.5, None, 50, 1),
+    "R = 1, n = 1": (_BETA, 2.5, None, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_CHUNK_CASES))
+def test_chunked_statistics_match_one_replication_at_a_time(case, request):
+    pair, p, theorem, n, reps = _CHUNK_CASES[case]
+    if isinstance(pair, str):
+        pair = request.getfixturevalue(pair)
+    config = ExperimentConfig(pair=pair, cost=wc.power_cost(p), theorem=theorem, n=n,
+                              replications=reps, seed=2718, p=p)
+    chunked = harness._replication_statistics(config, 1.7, 0.25)
+    assert chunked.tobytes() == _reference_statistics(config, 1.7, 0.25).tobytes()
+
+
+def test_study_statistics_match_one_replication_at_a_time():
+    config = small_config(_BETA, wc.power_cost(2.5), None, n=400, replications=170, n_sim=50)
+    res = run_clt_study(config)
+    regime = REGIMES[config.theorem]
+    scale = regime.rate(config.n, config.cost, config.p)
+    assert res.statistics.tobytes() == _reference_statistics(config, scale,
+                                                             res.centering).tobytes()
+
+
+@pytest.mark.parametrize("coupling", [wc.independent(), wc.comonotone(),
+                                      wc.gaussian_coupling(0.5), wc.custom_coupling(_fgm)],
+                         ids=lambda c: c.kind)
+def test_sample_pairs_is_quantiles_of_pair_uniforms(coupling):
+    pair = wc.make_pair(wc.beta_dist(2, 2), wc.gaussian(), coupling)
+    u, v = wc.pair_uniforms(pair, 300, 99)
+    sample = wc.sample_pairs(pair, 300, 99)
+    assert sample.xs.tobytes() == np.asarray(pair.dist_x.quantile(u), dtype=float).tobytes()
+    assert sample.ys.tobytes() == np.asarray(pair.dist_y.quantile(v), dtype=float).tobytes()
+
+
+def test_study_leaves_no_thread(gauss_equal_pair):
+    before = threading.active_count()
+    run_clt_study(small_config(gauss_equal_pair, wc.power_cost(1.5), "equal"))
+    assert threading.active_count() == before
+
+
+class _QuantileFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("index", [2, 3], ids=["worker half", "caller half"])
+def test_quantile_error_in_second_chunk_propagates_and_joins(index):
+    """n = 2**15 puts two replications in a chunk, so replications 2 and 3
+    form the second one; the worker evaluates replication 2's uniforms and
+    the calling thread replication 3's."""
+    n, seed = 2 ** 15, 11
+    marker = derive_rng(seed, "rep", index).random(n)[0]
+    base = wc.gaussian()
+
+    def quantile(u):
+        if np.any(np.asarray(u) == marker):
+            raise _QuantileFault(f"replication {index}")
+        return base.quantile(u)
+
+    pair = wc.equal_pair(replace(base, quantile=quantile))
+    config = small_config(pair, wc.power_cost(1), "one_sample", seed=seed, p=1.0, n=n,
+                          replications=5, grid_m=63, n_sim=50)
+    before = threading.active_count()
+    with pytest.raises(_QuantileFault, match=f"replication {index}"):
+        run_clt_study(config)
+    assert threading.active_count() == before
+
+
+def test_study_json_with_one_limit_draw(gauss_equal_pair, tmp_path):
+    config = small_config(gauss_equal_pair, wc.power_cost(1.5), "equal", n_sim=1,
+                          replications=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        wc.emit_study(run_clt_study(config), tmp_path)
+
+    def reject(token):
+        raise ValueError(f"study.json holds {token}")
+
+    summary = json.loads((tmp_path / "study.json").read_text(), parse_constant=reject)
+    assert summary["limit_draws"]["std"] == 0.0
+    assert summary["statistics"]["std"] == 0.0
