@@ -14,30 +14,26 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from .assumptions import check_fg
 from .costs import power_cost
-from .errors import (HypothesisError, NumericalError, ValidationError,
-                     WContrastError)
+from .errors import ValidationError, WContrastError
 from .estimator import w_cost_empirical
-from .harness import (ExperimentConfig, emit_limit_draws, emit_study, ingest_csv,
-                      load_config, resolve_cost, resolve_pair, run_clt_study)
+from .harness import (config_cost, emit_limit_draws, emit_study, ingest_csv, load_config,
+                      read_config, read_yaml, resolve_cost, resolve_pair, run_clt_study)
 from .inference import two_sample_test
 from .limitlaw import select_regime
-
-
-def _load_yaml(path):
-    with open(path, encoding="utf-8") as fh:
-        return yaml.safe_load(fh)
 
 
 def _parse_cost_arg(arg: str):
     """--cost accepts inline JSON ('{"family":"power","p":2}') or a YAML path."""
     arg = arg.strip()
     if arg.startswith("{"):
-        return resolve_cost(json.loads(arg))
-    return resolve_cost(_load_yaml(arg))
+        try:
+            spec = json.loads(arg)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"--cost is not valid JSON: {exc}") from None
+        return resolve_cost(spec)
+    return resolve_cost(read_yaml(arg))
 
 
 def _emit_json(data, out):
@@ -64,7 +60,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_test(args) -> int:
     sample = ingest_csv(args.data)
-    null_spec = _load_yaml(args.null)
+    null_spec = read_yaml(args.null)
     null_pair = resolve_pair(null_spec["pair"] if "pair" in null_spec else null_spec)
     cost = _parse_cost_arg(args.cost)
     # flags left out are absent from args: two_sample_test's defaults apply
@@ -92,14 +88,14 @@ def _margin_table(report, indent: int = 0) -> str:
 
 
 def _cmd_check(args) -> int:
-    spec = _load_yaml(args.config)
+    spec = read_config(args.config)
     pair = resolve_pair(spec["pair"])
-    cost = resolve_cost(spec["cost"])
+    cost = config_cost(spec)
     regime = select_regime(pair, cost, spec.get("theorem"))
     reports = [check_fg(pair.dist_x)]
     if pair.dist_y is not pair.dist_x:
         reports.append(check_fg(pair.dist_y))
-    reports.append(regime.check(pair, cost, float(spec.get("p", ExperimentConfig.p))))
+    reports.append(regime.check(pair, cost))
     _emit_json([r.to_dict() for r in reports],
                args.out if args.out else None)
     for r in reports:
@@ -179,18 +175,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except HypothesisError as exc:
-        print(f"hypothesis-check failure: {exc}", file=sys.stderr)
-        return 4
     except WContrastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, call_with_params
 from .tails import bisect_floats
 
 __all__ = [
@@ -403,23 +403,23 @@ def _ratio_fn(rho: Callable, b: float) -> Callable:
 
 
 _FAMILIES = {
-    "power_p": lambda params: power_cost(params["p"]),
-    "power": lambda params: power_cost(params["p"]),
-    "asymmetric_power_ab": lambda params: asymmetric_power_cost(
-        tuple(params["a"]), tuple(params["b"])),
-    "asymmetric": lambda params: asymmetric_power_cost(
-        tuple(params["a"]), tuple(params["b"])),
-    "pinball_alpha": lambda params: pinball_cost(params["alpha"]),
-    "pinball": lambda params: pinball_cost(params["alpha"]),
+    "power_p": power_cost,
+    "power": power_cost,
+    "asymmetric_power_ab": asymmetric_power_cost,
+    "asymmetric": asymmetric_power_cost,
+    "pinball_alpha": pinball_cost,
+    "pinball": pinball_cost,
 }
 
 
 def builtin_cost(family: str, **params) -> CostSpec:
-    """Construct a built-in cost by family name and parameter map."""
+    """Construct a built-in cost by family name and the constructor's
+    keyword parameters; an unknown family or parameter, or a missing one,
+    raises ValidationError."""
     try:
         factory = _FAMILIES[family]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValidationError(
             f"unknown cost family {family!r}; available: {sorted(set(_FAMILIES))}"
         ) from None
-    return factory(params)
+    return call_with_params(factory, params, f"cost family {family!r}")

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import (betainc, betaincc, betaincinv, betaln, expm1, hyp2f1, log1p,
                            log_ndtr, ndtr, ndtri, ndtri_exp, owens_t, xlog1py, xlogy)
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, call_with_params
 from .seeding import derive_rng
 from .tails import LEFT, RIGHT, bisect_floats, depth_u
 
@@ -730,25 +730,28 @@ def warped_dist(base: DistSpec, warp: Callable, dwarp: Callable,
 
 
 _DIST_FAMILIES = {
-    "gaussian": lambda p: gaussian(p.get("loc", 0.0), p.get("scale", 1.0)),
-    "normal": lambda p: gaussian(p.get("loc", 0.0), p.get("scale", 1.0)),
-    "exponential": lambda p: exponential(p.get("scale", 1.0)),
-    "pareto": lambda p: pareto(p["index"], p.get("scale", 1.0)),
-    "weibull": lambda p: weibull(p["shape"], p.get("scale", 1.0)),
-    "beta": lambda p: beta_dist(p["a"], p["b"]),
-    "uniform": lambda p: uniform(p.get("lo", 0.0), p.get("hi", 1.0)),
-    "log_edge": lambda p: log_edge_dist(p["w"]),
+    "gaussian": gaussian,
+    "normal": gaussian,
+    "exponential": exponential,
+    "pareto": pareto,
+    "weibull": weibull,
+    "beta": beta_dist,
+    "uniform": uniform,
+    "log_edge": log_edge_dist,
 }
 
 
 def builtin_dist(family: str, **params) -> DistSpec:
+    """The built-in law ``family`` with the constructor's keyword
+    ``params``; an unknown family or parameter, or a missing one, raises
+    ValidationError."""
     try:
         factory = _DIST_FAMILIES[family]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValidationError(
             f"unknown distribution family {family!r}; available: {sorted(_DIST_FAMILIES)}"
         ) from None
-    return factory(params)
+    return call_with_params(factory, params, f"distribution family {family!r}")
 
 
 # ---------------------------------------------------------------------------

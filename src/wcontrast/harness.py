@@ -6,7 +6,8 @@ two-sample Kolmogorov-Smirnov distance between the R statistics and the
 simulated draws. ``limitlaw.select_regime`` derives the limit theorem from
 the pair and the cost (a ``theorem`` label may be given and must match;
 only ``one_sample`` must be named); its checker, rate, centering and draws
-come from ``limitlaw.REGIMES``. Everything is deterministic given the
+come from ``limitlaw.REGIMES``; a one-sample statistic is W_p^p to the X
+marginal, p = ``cost.b``. Everything is deterministic given the
 master seed: replication i uses a generator derived from (seed, "rep", i)
 and the limit draws one stream derived from (seed, "draws"), so each
 replication's statistic depends only on the seed and its index.
@@ -19,6 +20,9 @@ thread, and each statistic is reduced from its own slice. Quantiles are
 pointwise, so the bytes depend on neither the chunk nor the split. A chunk
 holds a few arrays of 2**16 doubles (0.5 MB each); the worker lives for
 one ``run_clt_study`` call and is joined when it returns or raises.
+
+A YAML config holds only keys that its resolvers read, and each family's
+constructor parameters; an unknown or missing key is a ValidationError.
 """
 
 from __future__ import annotations
@@ -56,6 +60,9 @@ __all__ = [
     "emit_study",
     "emit_limit_draws",
     "load_config",
+    "read_config",
+    "read_yaml",
+    "config_cost",
     "resolve_cost",
     "resolve_pair",
 ]
@@ -78,7 +85,6 @@ class ExperimentConfig:
     grid_m: int = DEFAULT_GRID[0]
     grid_delta: float = DEFAULT_GRID[1]
     n_sim: int = 5000
-    p: float = 1.5                      # one-sample exponent
     tail_policy: str = "record"         # "record" | "raise"
     check_policy: str = "require"       # "require" | "override"
     out: Optional[str] = None
@@ -106,7 +112,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "grid": {"m": self.grid_m, "delta": self.grid_delta},
             "n_sim": self.n_sim,
-            "p": self.p,
             "tail_policy": self.tail_policy,
             "check_policy": self.check_policy,
         }
@@ -115,10 +120,10 @@ class ExperimentConfig:
         """Draws of the theorem's limit law. Its checker runs once; a verdict
         other than pass raises unless check_policy is "override"."""
         regime = REGIMES[self.theorem]
-        regime.gate(self.pair, self.cost, self.p, self.check_policy == "override")
+        regime.gate(self.pair, self.cost, self.check_policy == "override")
         tail_frac = _RAISE_TAIL_FRAC if self.tail_policy == "raise" else None
         return regime.simulate(self.pair, self.cost, (self.grid_m, self.grid_delta),
-                               self.n_sim, self.seed, tail_frac, self.p)
+                               self.n_sim, self.seed, tail_frac)
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,7 @@ def _replication_statistics(config: ExperimentConfig, scale: float,
             for j, i in enumerate(chunk):
                 part = [v[j * n:(j + 1) * n] for v in values]
                 if one_sample:
-                    w = wp_distance_to_dist(part[0], pair.dist_x, config.p)
+                    w = wp_distance_to_dist(part[0], pair.dist_x, config.cost.b)
                 else:
                     w = w_cost_empirical(PairedSample(*part, provenance="simulated"),
                                          config.cost)
@@ -270,7 +275,7 @@ def run_clt_study(config: ExperimentConfig) -> StudyResult:
     draws = config.limit_draws()
 
     regime = REGIMES[config.theorem]
-    scale = regime.rate(config.n, config.cost, config.p)
+    scale = regime.rate(config.n, config.cost)
     centering = 0.0
     if regime.centred:
         centering = w_cost_population(config.pair, config.cost).total
@@ -303,7 +308,11 @@ def ingest_csv(path) -> PairedSample:
     non-finite values (nan, inf) fail with their line number.
     """
     xs, ys = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read the data: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -374,27 +383,81 @@ def emit_study(result: StudyResult, out_dir) -> dict:
 # config resolution
 # ---------------------------------------------------------------------------
 
+# the top-level keys of a config file
+CONFIG_KEYS = ("seed", "n", "replications", "theorem", "n_sim", "grid", "cost", "pair",
+               "p", "tail_policy", "check_policy", "out")
+
+
+def _mapping(spec, where: str, required: tuple = (), optional: Optional[tuple] = None
+             ) -> dict:
+    """``spec`` if it is a mapping that holds every ``required`` key and,
+    when ``optional`` is given, no key outside ``required`` and
+    ``optional``; else ValidationError naming ``where`` and the key."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{where} must be a mapping; got {spec!r}")
+    for key in required:
+        if key not in spec:
+            raise ValidationError(f"{where} requires the key {key!r}")
+    if optional is not None:
+        known = required + optional
+        for key in spec:
+            if key not in known:
+                raise ValidationError(f"{where} has the unknown key {key!r}; "
+                                      f"it reads {', '.join(known)}")
+    return spec
+
+
+def read_yaml(path) -> dict:
+    """The mapping in a YAML file; a file that cannot be read or parsed, or
+    whose document is not a mapping, raises ValidationError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ValidationError(f"{path}: cannot read YAML: {exc}") from None
+    return _mapping(raw, f"{path}: config")
+
+
+def read_config(path, required: tuple = ("cost", "pair")) -> dict:
+    """A config file's mapping, its keys among ``CONFIG_KEYS`` (and those of
+    ``grid`` among m, delta) and every ``required`` key present, else
+    ValidationError."""
+    raw = _mapping(read_yaml(path), f"{path}: config", required,
+                   tuple(k for k in CONFIG_KEYS if k not in required))
+    _mapping(raw.get("grid", {}), "grid config", optional=("m", "delta"))
+    return raw
+
+
+def config_cost(raw: dict) -> CostSpec:
+    """The cost of a config mapping. A ``p`` beside it restates the
+    exponent of the power cost |x|^p (the one-sample statistic is that
+    cost's W_p^p contrast) and must equal it."""
+    cost = resolve_cost(raw["cost"])
+    if "p" in raw and (cost.params.get("family") != "power_p" or raw["p"] != cost.b):
+        raise ValidationError(f"config key 'p' restates the exponent of a power cost |x|^p "
+                              f"and must equal it; got p = {raw['p']!r} with {cost.name}")
+    return cost
+
+
 def resolve_cost(spec: dict) -> CostSpec:
-    if "family" not in spec:
-        raise ValidationError("cost config requires a 'family' key")
-    params = {k: v for k, v in spec.items() if k != "family"}
-    return costs_mod.builtin_cost(spec["family"], **params)
+    params = dict(_mapping(spec, "cost config", ("family",)))
+    return costs_mod.builtin_cost(params.pop("family"), **params)
 
 
 def _resolve_dist(spec: dict) -> dist_mod.DistSpec:
-    if "family" not in spec:
-        raise ValidationError("distribution config requires a 'family' key")
-    params = {k: v for k, v in spec.items() if k != "family"}
-    return dist_mod.builtin_dist(spec["family"], **params)
+    params = dict(_mapping(spec, "distribution config", ("family",)))
+    return dist_mod.builtin_dist(params.pop("family"), **params)
 
 
 def _resolve_coupling(spec: Optional[dict]) -> CouplingSpec:
     if spec is None:
         return dist_mod.independent()
-    kind = spec.get("kind", "independent")
+    kind = _mapping(spec, "coupling config").get("kind", "independent")
     if kind == "gaussian":
-        return dist_mod.gaussian_coupling(spec["rho"])
+        return dist_mod.gaussian_coupling(_mapping(spec, "gaussian coupling", ("rho",),
+                                                   ("kind",))["rho"])
     if kind in ("independent", "comonotone"):
+        _mapping(spec, f"{kind} coupling", optional=("kind",))
         return CouplingSpec(kind)
     raise ValidationError(f"config coupling kind {kind!r} not supported "
                           "(custom copulas are library-API only)")
@@ -403,15 +466,23 @@ def _resolve_coupling(spec: Optional[dict]) -> CouplingSpec:
 def _resolve_partition(spec) -> Optional[Partition]:
     if spec is None:
         return None
+    spec = _mapping(spec, "partition config", ("breaks", "labels"), ())
     breaks = tuple(float(b) for b in spec["breaks"])
     labels = tuple(str(lab) for lab in spec["labels"])
     return Partition(breaks, labels)
 
 
 def resolve_pair(spec: dict) -> PairSpec:
+    """The pair of a config: marginal ``x``, and ``y`` or a bump ``warp``
+    of x (or neither: an equal pair), with an optional ``partition`` and
+    ``coupling``."""
+    spec = _mapping(spec, "pair config", ("x",), ("y", "warp", "partition", "coupling"))
+    if "y" in spec and "warp" in spec:
+        raise ValidationError("pair config takes 'y' or 'warp', not both")
     dist_x = _resolve_dist(spec["x"])
     warp_spec = spec.get("warp")
     if warp_spec is not None:
+        warp_spec = _mapping(warp_spec, "warp config", ("amplitude", "lo", "hi"), ())
         lo, hi = float(warp_spec["lo"]), float(warp_spec["hi"])
         warp, dwarp = bump_warp(float(warp_spec["amplitude"]), lo, hi)
         dist_y = warped_dist(dist_x, warp, dwarp, (lo, hi))
@@ -451,32 +522,24 @@ def _integer(key: str) -> Callable:
 def load_config(path, seed_override: Optional[int] = None,
                 out_override: Optional[str] = None) -> ExperimentConfig:
     """Read a YAML experiment file into a fully resolved configuration."""
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: config must be a mapping")
+    raw = read_config(path, ("n", "cost", "pair"))
     seed = seed_override if seed_override is not None else raw.get("seed")
     if seed is None:
         raise ValidationError("config requires an explicit seed")
-    try:
-        grid = raw.get("grid", {})
-        # keys left out of the file keep ExperimentConfig's defaults
-        given = {"grid_m": (grid.get("m"), _integer("grid.m")),
-                 "grid_delta": (grid.get("delta"), float),
-                 "n_sim": (raw.get("n_sim"), _integer("n_sim")), "p": (raw.get("p"), float),
-                 "tail_policy": (raw.get("tail_policy"), str),
-                 "check_policy": (raw.get("check_policy"), str)}
-        config = ExperimentConfig(
-            pair=resolve_pair(raw["pair"]),
-            cost=resolve_cost(raw["cost"]),
-            theorem=raw.get("theorem"),
-            n=_integer("n")(raw["n"]),
-            replications=_integer("replications")(raw.get("replications", 1)),
-            seed=_integer("seed")(seed),
-            out=out_override or raw.get("out"),
-            **{key: cast(value) for key, (value, cast) in given.items()
-               if value is not None},
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing config key {exc}") from None
-    return config
+    grid = raw.get("grid", {})
+    # keys left out of the file keep ExperimentConfig's defaults
+    given = {"grid_m": (grid.get("m"), _integer("grid.m")),
+             "grid_delta": (grid.get("delta"), float),
+             "n_sim": (raw.get("n_sim"), _integer("n_sim")),
+             "tail_policy": (raw.get("tail_policy"), str),
+             "check_policy": (raw.get("check_policy"), str)}
+    return ExperimentConfig(
+        pair=resolve_pair(raw["pair"]),
+        cost=config_cost(raw),
+        theorem=raw.get("theorem"),
+        n=_integer("n")(raw["n"]),
+        replications=_integer("replications")(raw.get("replications", 1)),
+        seed=_integer("seed")(seed),
+        out=out_override or raw.get("out"),
+        **{key: cast(value) for key, (value, cast) in given.items() if value is not None},
+    )

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import expit, logit
 
-from .costs import CostSpec
+from .costs import CostSpec, power_cost
 from .distributions import DistSpec, PairSpec, equal_pair
 from .errors import ValidationError
 from .estimator import PairedSample, w_cost_empirical
@@ -91,19 +91,19 @@ def two_sample_test(sample: PairedSample, null_pair: PairSpec, cost: CostSpec,
     regime = select_regime(null_pair, cost)
     notes = regime.gate(null_pair, cost, override=override_checks)
 
-    return _simulated_test(regime, null_pair, cost, 0.0, w_cost_empirical(sample, cost),
+    return _simulated_test(regime, null_pair, cost, w_cost_empirical(sample, cost),
                            sample.n, level, sim, n_sim, seed, grid, tail_frac, notes)
 
 
-def _simulated_test(regime: Regime, pair: PairSpec, cost: Optional[CostSpec], p: float,
-                    statistic: float, n: int, level: float, sim: Optional[LimitDraws],
-                    n_sim: int, seed: int, grid: tuple, tail_frac: Optional[float],
+def _simulated_test(regime: Regime, pair: PairSpec, cost: CostSpec, statistic: float,
+                    n: int, level: float, sim: Optional[LimitDraws], n_sim: int,
+                    seed: int, grid: tuple, tail_frac: Optional[float],
                     notes: tuple) -> TestResult:
     """Scale the statistic by the regime's rate and compare it with ``sim``,
     or with fresh draws of the regime's limit law when ``sim`` is None."""
-    scaled = regime.rate(n, cost, p) * statistic
+    scaled = regime.rate(n, cost) * statistic
     if sim is None:
-        sim = regime.simulate(pair, cost, grid, n_sim, seed, tail_frac, p)
+        sim = regime.simulate(pair, cost, grid, n_sim, seed, tail_frac)
     p_value = sim.upper_tail_p(scaled)
     return TestResult(
         statistic=statistic,
@@ -178,16 +178,16 @@ def gof_test(xs, null_dist: DistSpec, p: float = 1.0,
              override_checks: bool = False,
              tail_frac: Optional[float] = None) -> TestResult:
     """One-sample goodness of fit against a fully specified null via the
-    n^{p/2}-scaled W_p^p distance and its simulated limit law."""
+    n^{p/2}-scaled W_p^p distance (``power_cost(p)``) and its simulated limit law."""
     if not 0.0 < level < 1.0:
         raise ValidationError("level must be in (0,1)")
     xs = np.asarray(xs, dtype=float)
-    pair = equal_pair(null_dist)
-    regime = select_regime(pair, None, THEOREM_ONE_SAMPLE)
-    notes = regime.gate(pair, None, p, override_checks,
+    pair, cost = equal_pair(null_dist), power_cost(p)
+    regime = select_regime(pair, cost, THEOREM_ONE_SAMPLE)
+    notes = regime.gate(pair, cost, override_checks,
                         what=f"the tail dominance of the null {null_dist.name}")
 
-    return _simulated_test(regime, pair, None, p, wp_distance_to_dist(xs, null_dist, p),
+    return _simulated_test(regime, pair, cost, wp_distance_to_dist(xs, null_dist, p),
                            len(xs), level, sim, n_sim, seed, grid, tail_frac, notes)
 
 

@@ -25,7 +25,7 @@ that the regime states, sigma_bar a pointwise bound on the standard
 deviation of the process read.
 ``select_regime`` decides from the pair and the cost which limit theorem
 applies; its ``REGIMES`` table gives each theorem's checker, rate,
-centering, process read, limit functional and tail-bound terms.
+centering, process read, limit functional and tail-bound terms of (pair, cost).
 ``Regime.draw`` is the one routine that draws a functional and bounds its
 tail (0 for Bq on a degenerate grid); it does not run the checker,
 ``Regime.gate`` does.
@@ -557,7 +557,7 @@ def _terms_E(cost: CostSpec) -> tuple:
                  for pi, b in ((cost.pi_minus, cost.b_minus), (cost.pi_plus, cost.b_plus)))
 
 
-def _terms_ED(pair: PairSpec, cost: CostSpec, p: float, side: str) -> tuple:
+def _terms_ED(pair: PairSpec, cost: CostSpec, side: str) -> tuple:
     """The sqrt(n) limit: E|rho'(tau) N| sigma on a D-labeled tail; the
     b = 1 branches' L_pm(0) m_1/2 sigma on an E-labeled one."""
     m1 = abs_moment_normal(1.0)
@@ -574,11 +574,11 @@ def _terms_ED(pair: PairSpec, cost: CostSpec, p: float, side: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# limit functionals: (pair, cost, grid, p) -> reduction of one (m, k) block
+# limit functionals: (pair, cost, grid) -> reduction of one (m, k) block
 # of the process the regime reads
 # ---------------------------------------------------------------------------
 
-def _functional_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
+def _functional_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid):
     """pi_- int 1_{Bq<0} |Bq|^{b_-} + pi_+ int 1_{Bq>0} |Bq|^{b_+}."""
     w = grid.weights
 
@@ -594,12 +594,12 @@ def _functional_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
     return functional
 
 
-def _functional_W2(pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid, p: float):
+def _functional_W2(pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid):
     """int Bq(u)^2 du."""
     return lambda bq: grid.weights @ (bq ** 2)
 
 
-def _functional_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
+def _functional_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid):
     """The sqrt(n) limit of a partition with D-labeled intervals:
 
     int_D rho'(tau) Bq du
@@ -625,13 +625,12 @@ def _functional_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid, p: float):
     return functional
 
 
-def _functional_one_sample(pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid,
-                           p: float):
-    """int |B^X(u)/h(u)|^p du for the X marginal, 1 <= p < 2 (any coupling:
+def _functional_one_sample(pair: PairSpec, cost: CostSpec, grid: BridgeGrid):
+    """int |B^X(u)/h(u)|^p du for the X marginal, p = cost.b (any coupling:
     the X marginal is a standard bridge)."""
     def functional(bx):
         absx = np.abs(bx)
-        absx **= p
+        absx **= cost.b
         return grid.weights @ absx
     return functional
 
@@ -643,13 +642,12 @@ def _functional_one_sample(pair: PairSpec, cost: Optional[CostSpec], grid: Bridg
 @dataclass(frozen=True)
 class Regime:
     """One limit theorem: whether it ``applies(pair, cost)``, its checker
-    ``check(pair, cost, p)``, the ``rate(n, cost, p)`` of the statistic,
-    whether that is ``centred`` at W(F, G), the process it ``reads``
-    (READS_BQ or READS_X), its limit ``functional(pair, cost, grid, p)`` of
-    that process and the ``edge_terms(pair, cost, p, side)`` of its
-    truncated-tail bound: the (coef, b, log_w) terms that ``_edge_bound``
-    integrates over each tail the delta-clipped grid leaves out. Only
-    one_sample reads p."""
+    ``check(pair, cost)``, the ``rate(n, cost)`` of the statistic, whether
+    that is ``centred`` at W(F, G), the process it ``reads`` (READS_BQ or
+    READS_X), its limit ``functional(pair, cost, grid)`` of that process and
+    the ``edge_terms(pair, cost, side)`` of its truncated-tail bound: the
+    (coef, b, log_w) terms that ``_edge_bound`` integrates over each tail
+    the delta-clipped grid leaves out; one_sample's exponent p is cost.b."""
 
     label: str
     applies: Callable
@@ -660,11 +658,11 @@ class Regime:
     functional: Callable
     edge_terms: Callable
 
-    def gate(self, pair: PairSpec, cost: Optional[CostSpec], p: float = 0.0,
-             override: bool = False, what: Optional[str] = None) -> tuple:
+    def gate(self, pair: PairSpec, cost: Optional[CostSpec], override: bool = False,
+             what: Optional[str] = None) -> tuple:
         """Run the checker once: a verdict other than pass raises
         HypothesisError, or with ``override`` becomes the returned note."""
-        report = self.check(pair, cost, p)
+        report = self.check(pair, cost)
         if report.verdict == PASS:
             return ()
         if not override:
@@ -675,7 +673,7 @@ class Regime:
         return (f"checker {report.condition} = {report.verdict} (overridden)",)
 
     def draw(self, pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid, n_sim: int,
-             seed: int, tail_frac: Optional[float], p: float = 0.0) -> LimitDraws:
+             seed: int, tail_frac: Optional[float]) -> LimitDraws:
         """n_sim unchecked draws of this theorem's functional on ``grid``,
         with the tail bound (0 for Bq on a degenerate grid, where it
         vanishes); given ``tail_frac``, the bound must stay below that share
@@ -683,12 +681,12 @@ class Regime:
         if n_sim < 1:
             raise ValidationError(f"limit draws require n_sim >= 1; got {n_sim}")
         values = _collect(grid, n_sim, seed, self.reads,
-                          self.functional(pair, cost, grid, p))
+                          self.functional(pair, cost, grid))
         if self.reads == READS_BQ and grid.degenerate:
             bound = 0.0
         else:
             bound = _edge_bound(pair, grid.delta, self.reads,
-                                {side: self.edge_terms(pair, cost, p, side)
+                                {side: self.edge_terms(pair, cost, side)
                                  for side in (LEFT, RIGHT)})
         if tail_frac is not None:
             med = float(np.median(np.abs(values)))
@@ -700,11 +698,10 @@ class Regime:
         return LimitDraws(values, self.label, meta, seed, bound)
 
     def simulate(self, pair: PairSpec, cost: Optional[CostSpec], grid_shape: tuple,
-                 n_sim: int, seed: int, tail_frac: Optional[float],
-                 p: float = 0.0) -> LimitDraws:
+                 n_sim: int, seed: int, tail_frac: Optional[float]) -> LimitDraws:
         """Unchecked draws on a fresh (m, delta) grid."""
         return self.draw(pair, cost, build_bridge_grid(pair, *grid_shape), n_sim, seed,
-                         tail_frac, p)
+                         tail_frac)
 
 
 def _describe(pair: PairSpec, cost: Optional[CostSpec]) -> str:
@@ -730,15 +727,17 @@ def _finite_L0(cost: CostSpec) -> bool:
                ((cost.b_minus, cost.L0_minus), (cost.b_plus, cost.L0_plus)) if b == 1.0)
 
 
-def _check_equal(pair: PairSpec, cost: CostSpec, p: float):
+def _check_equal(pair: PairSpec, cost: CostSpec):
     if _bounded(pair.dist_x):
         return check_compact(pair.dist_x, cost, max(cost.b_minus, cost.b_plus) + 0.5)
     return check_cfg_e(pair.dist_x, cost)
 
 
-def _check_one_sample(pair: PairSpec, cost: Optional[CostSpec], p: float):
-    if not 1.0 <= p < 2.0:
-        raise ValidationError(f"one-sample limit requires 1 <= p < 2; got {p}")
+def _check_one_sample(pair: PairSpec, cost: Optional[CostSpec]):
+    if cost is None or cost.params.get("family") != "power_p" or not 1.0 <= cost.b < 2.0:
+        raise ValidationError("the one-sample limit requires a power cost |x|^p, "
+                              f"1 <= p < 2; got {cost and cost.name}")
+    p = cost.b
     return check_pareto_dominance(pair.dist_x, 2.0 * (p + 2.0) / (2.0 - p))
 
 
@@ -748,30 +747,30 @@ REGIMES = {r.label: r for r in (
     Regime(THEOREM_EQUAL,
            lambda pair, cost: pair.partition.is_all_E and (_bounded(pair.dist_x)
                                                            or cost.b < 2.0),
-           _check_equal, lambda n, cost, p: rate_vn(cost, n), False,
-           READS_BQ, _functional_E, lambda pair, cost, p, side: _terms_E(cost)),
+           _check_equal, lambda n, cost: rate_vn(cost, n), False,
+           READS_BQ, _functional_E, lambda pair, cost, side: _terms_E(cost)),
     Regime(THEOREM_QUADRATIC,
            lambda pair, cost: (pair.partition.is_all_E and not _bounded(pair.dist_x)
                                and _is_quadratic_near_zero(cost)),
-           lambda pair, cost, p: check_w2_hypotheses(pair.dist_x),
-           lambda n, cost, p: float(n), False, READS_BQ, _functional_W2,
-           lambda pair, cost, p, side: ((1.0, 2.0, None),)),
+           lambda pair, cost: check_w2_hypotheses(pair.dist_x),
+           lambda n, cost: float(n), False, READS_BQ, _functional_W2,
+           lambda pair, cost, side: ((1.0, 2.0, None),)),
     Regime(THEOREM_GAUSSIAN,
            lambda pair, cost: pair.partition.has_D and (
                cost.b > 1.0 or (cost.b == 1.0 and pair.partition.is_all_D)),
-           lambda pair, cost, p: check_cfg_ed(pair, cost),
-           lambda n, cost, p: math.sqrt(n), True,
+           lambda pair, cost: check_cfg_ed(pair, cost),
+           lambda n, cost: math.sqrt(n), True,
            READS_BQ, _functional_ED, _terms_ED),
     Regime(THEOREM_MIXED,
            lambda pair, cost: (pair.partition.has_D and pair.partition.has_E
                                and cost.b == 1.0 and _finite_L0(cost)),
-           lambda pair, cost, p: check_cfg_ed(pair, cost),
-           lambda n, cost, p: math.sqrt(n), True,
+           lambda pair, cost: check_cfg_ed(pair, cost),
+           lambda n, cost: math.sqrt(n), True,
            READS_BQ, _functional_ED, _terms_ED),
     # chosen only by its label
     Regime(THEOREM_ONE_SAMPLE, lambda pair, cost: False, _check_one_sample,
-           lambda n, cost, p: n ** (p / 2.0), False, READS_X, _functional_one_sample,
-           lambda pair, cost, p, side: ((abs_moment_normal(p), p, None),)),
+           lambda n, cost: n ** (cost.b / 2.0), False, READS_X, _functional_one_sample,
+           lambda pair, cost, side: ((abs_moment_normal(cost.b), cost.b, None),)),
 )}
 
 

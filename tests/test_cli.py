@@ -231,3 +231,104 @@ def test_integral_config_values_are_integers(study_yaml, tmp_path):
     config = wc.load_config(cfg)
     assert (config.seed, config.n, config.grid_m) == (42, 150, 127)
     assert all(type(v) is int for v in (config.seed, config.n, config.grid_m))
+
+
+@pytest.mark.parametrize("old, new, words", [
+    # a family parameter its constructor does not take, or a required one left out
+    ("x: {family: gaussian}", "x: {family: gaussian, sigma: 2}", ("gaussian", "sigma")),
+    ("{family: power, p: 1.5}", "{family: power, p: 1.5, scale: 9}", ("power", "scale")),
+    ("x: {family: gaussian}", "x: {family: pareto}", ("pareto", "index")),
+    ("{family: power, p: 1.5}", "{family: pinball}", ("pinball", "alpha")),
+    # a key that no resolver reads
+    ("x: {family: gaussian}", "x: {family: gaussian}\n  Y: {family: gaussian}", ("'Y'",)),
+    ("x: {family: gaussian}",
+     "x: {family: gaussian}\n  coupling: {kind: gaussian, rho: 0.5, tau: 3}", ("'tau'",)),
+    ("x: {family: gaussian}", "x: {family: gaussian}\n  coupling: {kind: comonotone, rho: 1}",
+     ("'rho'",)),
+    ("x: {family: gaussian}",
+     "x: {family: gaussian}\n  warp: {amplitude: 0.1, lo: 0.2, hi: 0.5, width: 1}",
+     ("'width'",)),
+    ("x: {family: gaussian}",
+     "x: {family: gaussian}\n  partition: {breaks: [0, 1], labels: [E], kind: x}",
+     ("'kind'",)),
+    ("replications: 40", "replicatons: 9", ("'replicatons'",)),
+    ("grid: {m: 127, delta: 1.0e-3}", "grid: {m: 31, delta: 1.0e-3, M: 9}", ("'M'",)),
+    # a key that a resolver needs
+    ("x: {family: gaussian}", "x: {family: gaussian}\n  coupling: {kind: gaussian}",
+     ("'rho'",)),
+    ("x: {family: gaussian}", "x: {family: gaussian}\n  warp: {amplitude: 0.1, lo: 0.2}",
+     ("'hi'",)),
+])
+@pytest.mark.parametrize("command", ["study", "check"])
+def test_unknown_or_missing_config_key_exit_code(study_yaml, tmp_path, capsys, old, new,
+                                                  words, command):
+    cfg = tmp_path / "bad.yaml"
+    text = study_yaml.read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    for word in words:
+        assert word in err
+    assert not out.exists()
+
+
+def test_check_without_cost_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text("pair:\n  x: {family: gaussian}\n")
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert "'cost'" in capsys.readouterr().err
+
+
+def test_test_null_coupling_without_rho_exit_code(data_csv, tmp_path, capsys):
+    null = tmp_path / "null.yaml"
+    null.write_text("pair:\n  x: {family: gaussian}\n  coupling: {kind: gaussian}\n")
+    assert main(["test", "--data", str(data_csv), "--null", str(null),
+                 "--cost", '{"family": "power", "p": 1.5}', "--nsim", "20"]) == 2
+    assert "'rho'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["study", "check", "simulate-limit", "test"])
+def test_empty_yaml_exit_code(data_csv, null_yaml, tmp_path, capsys, command):
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    argv = ([command, "--config", str(empty)] if command != "test" else
+            ["test", "--data", str(data_csv), "--null", str(empty),
+             "--cost", '{"family": "power", "p": 1.5}', "--nsim", "20"])
+    assert main(argv) == 2
+    assert "must be a mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cost", ['{"family": "power", "p": }', '{"family": "power"'])
+def test_malformed_inline_cost_exit_code(data_csv, capsys, cost):
+    assert main(["estimate", "--data", str(data_csv), "--cost", cost]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_missing_files_exit_code(data_csv, null_yaml, tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["estimate", "--data", missing, "--cost", '{"family": "power", "p": 1}']) == 2
+    assert main(["test", "--data", missing, "--null", str(null_yaml),
+                 "--cost", '{"family": "power", "p": 1.5}']) == 2
+    assert main(["test", "--data", str(data_csv), "--null", str(tmp_path / "none.yaml"),
+                 "--cost", '{"family": "power", "p": 1.5}']) == 2
+    assert main(["estimate", "--data", str(data_csv), "--cost", str(tmp_path / "c.yaml")]) == 2
+    assert main(["study", "--config", str(tmp_path / "none.yaml")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("validation error:") == 5
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [wc.ValidationError, wc.DomainError, wc.NumericalError,
+                                   wc.TruncationError, wc.HypothesisError, wc.WContrastError])
+def test_each_error_exits_with_its_code(error, monkeypatch, capsys, tmp_path):
+    def fail(args):
+        raise error("boom")
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    assert main(["check", "--config", str(tmp_path / "c.yaml")]) == error.exit_code
+    assert capsys.readouterr().err == f"{error.prefix}: boom\n"
+    codes = {wc.ValidationError: 2, wc.DomainError: 2, wc.NumericalError: 3,
+             wc.TruncationError: 3, wc.HypothesisError: 4, wc.WContrastError: 2}
+    assert error.exit_code == codes[error]

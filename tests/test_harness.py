@@ -101,7 +101,7 @@ def test_gaussian_alternative_study(gauss_shift_pair):
 
 def test_one_sample_study(gauss_equal_pair):
     config = small_config(gauss_equal_pair, wc.power_cost(1), "one_sample",
-                          p=1.0, replications=50, n=300)
+                          replications=50, n=300)
     res = run_clt_study(config)
     assert np.all(res.statistics >= 0)
     assert res.draws.theorem == "one_sample"
@@ -205,7 +205,7 @@ def _reference_statistics(config, scale, centering):
         if config.theorem == "one_sample":
             us = derive_rng(config.seed, "rep", i).random(config.n)
             xs = np.asarray(config.pair.dist_x.quantile(us), dtype=float)
-            w = wc.wp_distance_to_dist(xs, config.pair.dist_x, config.p)
+            w = wc.wp_distance_to_dist(xs, config.pair.dist_x, config.cost.b)
         else:
             sample = wc.sample_pairs(config.pair, config.n, derive_seed_int(config.seed, i))
             w = wc.w_cost_empirical(sample, config.cost)
@@ -220,7 +220,7 @@ def _fgm(u, v, theta=0.5):
 _BETA = wc.equal_pair(wc.beta_dist(2, 2))
 _GAUSS = wc.equal_pair(wc.gaussian())
 
-# (pair or its fixture, cost power and one-sample p, theorem, n, replications)
+# (pair or its fixture, power of the cost, theorem, n, replications)
 _CHUNK_CASES = {
     # 200 points a replication: chunks of 327, 327 and 46 replications
     "beta independent, R not a multiple": (_BETA, 2.5, None, 200, 700),
@@ -244,7 +244,7 @@ def test_chunked_statistics_match_one_replication_at_a_time(case, request):
     if isinstance(pair, str):
         pair = request.getfixturevalue(pair)
     config = ExperimentConfig(pair=pair, cost=wc.power_cost(p), theorem=theorem, n=n,
-                              replications=reps, seed=2718, p=p)
+                              replications=reps, seed=2718)
     chunked = harness._replication_statistics(config, 1.7, 0.25)
     assert chunked.tobytes() == _reference_statistics(config, 1.7, 0.25).tobytes()
 
@@ -253,7 +253,7 @@ def test_study_statistics_match_one_replication_at_a_time():
     config = small_config(_BETA, wc.power_cost(2.5), None, n=400, replications=170, n_sim=50)
     res = run_clt_study(config)
     regime = REGIMES[config.theorem]
-    scale = regime.rate(config.n, config.cost, config.p)
+    scale = regime.rate(config.n, config.cost)
     assert res.statistics.tobytes() == _reference_statistics(config, scale,
                                                              res.centering).tobytes()
 
@@ -294,7 +294,7 @@ def test_quantile_error_in_second_chunk_propagates_and_joins(index):
         return base.quantile(u)
 
     pair = wc.equal_pair(replace(base, quantile=quantile))
-    config = small_config(pair, wc.power_cost(1), "one_sample", seed=seed, p=1.0, n=n,
+    config = small_config(pair, wc.power_cost(1), "one_sample", seed=seed, n=n,
                           replications=5, grid_m=63, n_sim=50)
     before = threading.active_count()
     with pytest.raises(_QuantileFault, match=f"replication {index}"):

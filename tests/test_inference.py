@@ -22,8 +22,8 @@ def null_draws_p15(gauss_equal_pair):
 @pytest.fixture(scope="module")
 def one_sample_draws(gauss_equal_pair):
     grid = wc.build_bridge_grid(gauss_equal_pair, m=GRID[0], delta=GRID[1])
-    return wc.REGIMES["one_sample"].draw(wc.equal_pair(wc.gaussian()), None, grid, 4000, 302,
-                                         None, p=1.0)
+    return wc.REGIMES["one_sample"].draw(wc.equal_pair(wc.gaussian()), wc.power_cost(1.0),
+                                         grid, 4000, 302, None)
 
 
 def test_identical_samples_p_value_one(gauss_equal_pair, null_draws_p15):

@@ -258,7 +258,7 @@ def test_low_rank_and_dense_copula_draws_agree_in_distribution():
 def _dense_draws(pair, cost, grid, n, seed, label="equal"):
     """n draws of the regime's Bq functional through the dense Cholesky factor."""
     factor = _dense_cholesky(pair, grid)
-    functional = wc.REGIMES[label].functional(pair, cost, grid, 0.0)
+    functional = wc.REGIMES[label].functional(pair, cost, grid)
     z = np.random.default_rng(seed).standard_normal((2 * grid.m, n))
     return functional(_process(grid, READS_BQ, *np.split(factor @ z, 2)))
 
@@ -428,7 +428,7 @@ def test_draw_limit_one_sample_uniform_mean():
     dist = wc.uniform()
     pair = wc.equal_pair(dist)
     grid = wc.build_bridge_grid(pair, m=511, delta=1e-4)
-    draws = wc.REGIMES["one_sample"].draw(pair, None, grid, 5000, 8, None, p=1.0)
+    draws = wc.REGIMES["one_sample"].draw(pair, wc.power_cost(1.0), grid, 5000, 8, None)
     expected = math.sqrt(2 / math.pi) * math.pi / 8
     assert draws.values.mean() == pytest.approx(expected, rel=0.02)
     assert np.all(draws.values > 0)
@@ -437,8 +437,9 @@ def test_draw_limit_one_sample_uniform_mean():
 def test_draw_limit_one_sample_gaussian_p15_finite_positive(gauss_equal_pair):
     grid = wc.build_bridge_grid(gauss_equal_pair, m=255, delta=1e-4)
     one_sample = wc.REGIMES["one_sample"]
-    assert one_sample.gate(gauss_equal_pair, None, 1.5) == ()
-    draws = one_sample.draw(gauss_equal_pair, None, grid, 500, 9, None, p=1.5)
+    cost = wc.power_cost(1.5)
+    assert one_sample.gate(gauss_equal_pair, cost) == ()
+    draws = one_sample.draw(gauss_equal_pair, cost, grid, 500, 9, None)
     assert np.all(np.isfinite(draws.values))
     assert np.all(draws.values > 0)
 
@@ -450,7 +451,8 @@ def test_one_sample_delta_stability():
     means, bounds = [], []
     for delta in (1e-3, 1e-4):
         grid = wc.build_bridge_grid(pair, m=1023, delta=delta)
-        draws = wc.REGIMES["one_sample"].draw(pair, None, grid, 20000, 10, None, p=1.0)
+        draws = wc.REGIMES["one_sample"].draw(pair, wc.power_cost(1.0), grid, 20000, 10,
+                                              None)
         means.append(draws.values.mean())
         bounds.append(draws.tail_bound)
     assert abs(means[0] - means[1]) <= sum(bounds) + 3e-3   # MC noise allowance
@@ -539,21 +541,22 @@ def test_truncation_error_raised_when_bound_large():
 
 # Each regime's truncated-tail bound at delta = 1e-4, as the four per-regime
 # bound routines gave it before ``_edge_bound`` replaced them:
-# (regime, pair, cost, p, bound). "asym" has pi = (0, 1).
+# (regime, pair, cost, bound). "asym" has pi = (0, 1); the one-sample
+# regime reads its exponent p from the power cost.
 _EDGE_BOUNDS = [
-    ("equal", "gaussian", "power(1.5)", 0.0, 0.19468767717791627),
-    ("equal", "beta", "power(2.5)", 0.0, 6.581932057383901e-05),
-    ("equal", "weibull", "power(1.5)", 0.0, 0.015928166495814654),
-    ("equal", "weibull", "pinball(0.3)", 0.0, 0.0017848018754245472),
-    ("equal", "gaussian", "asym", 0.0, 0.019845530609135197),
-    ("quadratic", "weibull", "power(2)", 0.0, 0.6384087782587794),
-    ("one_sample", "gaussian", None, 1.5, 0.06883248837298102),
-    ("one_sample", "weibull", None, 1.0, 0.001249361312797183),
-    ("one_sample", "beta", None, 1.5, 2.8032916038518553e-05),
-    ("gaussian", "shift", "power(2)", 0.0, 0.02930822979103715),
-    ("gaussian", "shift", "power(1.5)", 0.0, 0.021981172343277865),
-    ("mixed", "bump", "power(1)", 0.0, 0.014877913798365332),
-    ("mixed", "bump", "pinball(0.3)", 0.0, 0.007438956899182664),
+    ("equal", "gaussian", "power(1.5)", 0.19468767717791627),
+    ("equal", "beta", "power(2.5)", 6.581932057383901e-05),
+    ("equal", "weibull", "power(1.5)", 0.015928166495814654),
+    ("equal", "weibull", "pinball(0.3)", 0.0017848018754245472),
+    ("equal", "gaussian", "asym", 0.019845530609135197),
+    ("quadratic", "weibull", "power(2)", 0.6384087782587794),
+    ("one_sample", "gaussian", "power(1.5)", 0.06883248837298102),
+    ("one_sample", "weibull", "power(1)", 0.001249361312797183),
+    ("one_sample", "beta", "power(1.5)", 2.8032916038518553e-05),
+    ("gaussian", "shift", "power(2)", 0.02930822979103715),
+    ("gaussian", "shift", "power(1.5)", 0.021981172343277865),
+    ("mixed", "bump", "power(1)", 0.014877913798365332),
+    ("mixed", "bump", "pinball(0.3)", 0.007438956899182664),
 ]
 _EDGE_COSTS = {
     "power(1)": lambda: wc.power_cost(1.0),
@@ -562,13 +565,19 @@ _EDGE_COSTS = {
     "power(2.5)": lambda: wc.power_cost(2.5),
     "pinball(0.3)": lambda: wc.pinball_cost(0.3),
     "asym": lambda: wc.asymmetric_power_cost((1.0, 1.0), (2.0, 1.2)),
-    None: lambda: None,
 }
 
 
-@pytest.mark.parametrize("label, pair_name, cost_name, p, want", _EDGE_BOUNDS,
-                         ids=[f"{c[0]}-{c[1]}-{c[2] or c[3]}" for c in _EDGE_BOUNDS])
-def test_edge_bound_keeps_every_regime_bound(label, pair_name, cost_name, p, want,
+def _edge_id(row) -> str:
+    # one-sample rows keep the ids they had when p was a column of its own
+    label, pair_name, cost_name = row[:3]
+    return f"{label}-{pair_name}-" + (
+        str(_EDGE_COSTS[cost_name]().b) if label == "one_sample" else cost_name)
+
+
+@pytest.mark.parametrize("label, pair_name, cost_name, want", _EDGE_BOUNDS,
+                         ids=[_edge_id(c) for c in _EDGE_BOUNDS])
+def test_edge_bound_keeps_every_regime_bound(label, pair_name, cost_name, want,
                                              gauss_shift_pair, bump_pair_comonotone):
     pairs = {"gaussian": wc.equal_pair(wc.gaussian()),
              "beta": wc.equal_pair(wc.beta_dist(2, 2)),
@@ -576,7 +585,7 @@ def test_edge_bound_keeps_every_regime_bound(label, pair_name, cost_name, p, wan
              "shift": gauss_shift_pair, "bump": bump_pair_comonotone}
     pair, cost = pairs[pair_name], _EDGE_COSTS[cost_name]()
     grid = wc.build_bridge_grid(pair, m=16, delta=1e-4)
-    got = wc.REGIMES[label].draw(pair, cost, grid, 1, 0, None, p).tail_bound
+    got = wc.REGIMES[label].draw(pair, cost, grid, 1, 0, None).tail_bound
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -595,7 +604,7 @@ def test_degenerate_zero_bound_is_for_bq_only():
     grid = wc.build_bridge_grid(pair, m=16, delta=1e-4)
     assert grid.degenerate
     assert wc.REGIMES["equal"].draw(pair, wc.power_cost(1.5), grid, 1, 0, None).tail_bound == 0.0
-    one = wc.REGIMES["one_sample"].draw(pair, None, grid, 1, 0, None, p=1.5).tail_bound
+    one = wc.REGIMES["one_sample"].draw(pair, wc.power_cost(1.5), grid, 1, 0, None).tail_bound
     assert one == pytest.approx(0.06883248837298102, rel=1e-12, abs=0.0)
 
 
@@ -785,21 +794,20 @@ def _process(grid, reads, bx, by):
 
 
 def _one_bridge_cases(bump_pair_comonotone):
-    """(pair, cost, regime label, p, factor kind) of each route that draws
+    """(pair, cost, regime label, factor kind) of each route that draws
     one scaled bridge from m normals."""
     gauss = wc.equal_pair(wc.gaussian())
     return {
-        "equal": (gauss, wc.power_cost(1.5), "equal", 0.0, "closed-form"),
-        "quadratic": (wc.equal_pair(wc.weibull(3.0)), None, "quadratic", 0.0, "closed-form"),
-        "one_sample": (gauss, None, "one_sample", 1.5, "closed-form"),
+        "equal": (gauss, wc.power_cost(1.5), "equal", "closed-form"),
+        "quadratic": (wc.equal_pair(wc.weibull(3.0)), None, "quadratic", "closed-form"),
+        "one_sample": (gauss, wc.power_cost(1.5), "one_sample", "closed-form"),
         "one_sample kernel": (wc.equal_pair(wc.gaussian(), wc.custom_coupling(_fgm(0.5))),
-                              None, "one_sample", 1.5, "low-rank"),
-        "mixed comonotone": (bump_pair_comonotone, wc.power_cost(1), "mixed", 0.0,
-                             "closed-form"),
+                              wc.power_cost(1.5), "one_sample", "low-rank"),
+        "mixed comonotone": (bump_pair_comonotone, wc.power_cost(1), "mixed", "closed-form"),
         "equal copula 0.5": (wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(0.5)),
-                             wc.power_cost(1.5), "equal", 0.0, "low-rank"),
+                             wc.power_cost(1.5), "equal", "low-rank"),
         "equal copula -0.5": (wc.equal_pair(wc.gaussian(), wc.gaussian_coupling(-0.5)),
-                              wc.power_cost(1.5), "equal", 0.0, "low-rank"),
+                              wc.power_cost(1.5), "equal", "low-rank"),
     }
 
 
@@ -810,13 +818,13 @@ def test_one_bridge_draws_keep_the_law(case, bump_pair_comonotone):
     # draws from m normals each against the same functional of both
     # bridges from 2m normals through grid.bridges: the two-sample KS
     # distance stays below its alpha = 1e-3 critical value
-    pair, cost, label, p, kind = _one_bridge_cases(bump_pair_comonotone)[case]
+    pair, cost, label, kind = _one_bridge_cases(bump_pair_comonotone)[case]
     grid = wc.build_bridge_grid(pair, m=511, delta=1e-4)
     assert grid.factor_kind == kind
     regime, n = wc.REGIMES[label], 20000
-    draws = regime.draw(pair, cost, grid, n, 41, None, p)
+    draws = regime.draw(pair, cost, grid, n, 41, None)
     assert draws.grid_meta["normals_per_draw"] == grid.m
-    functional = regime.functional(pair, cost, grid, p)
+    functional = regime.functional(pair, cost, grid)
     ref = np.concatenate([functional(_process(grid, regime.reads, bx, by))
                           for bx, by in _bridge_blocks(grid, n, 42)])
     crit = math.sqrt(-math.log(1e-3 / 2.0) / 2.0) * math.sqrt(2.0 / n)
@@ -887,10 +895,10 @@ def test_two_bridge_stream(case):
     assert np.allclose(paths, bq, rtol=1e-10, atol=1e-12 * np.max(np.abs(bq)))
     regime = wc.REGIMES[label]
     draws = regime.draw(pair, cost, grid, n, 77, None)
-    assert np.allclose(draws.values, regime.functional(pair, cost, grid, 0.0)(bq),
+    assert np.allclose(draws.values, regime.functional(pair, cost, grid)(bq),
                        rtol=1e-10, atol=1e-12)
     assert draws.grid_meta["normals_per_draw"] == 2 * grid.m
-    one_sample = wc.REGIMES["one_sample"].draw(pair, None, grid, 10, 77, None, p=1.5)
+    one_sample = wc.REGIMES["one_sample"].draw(pair, wc.power_cost(1.5), grid, 10, 77, None)
     assert one_sample.grid_meta["normals_per_draw"] == grid.m
 
 
@@ -908,7 +916,7 @@ def test_functional_E_matches_where_form(gauss_grid, gauss_equal_pair):
         absq = np.abs(bq)
         ref = (cost.pi_minus * (w @ np.where(bq < 0, absq ** cost.b_minus, 0.0))
                + cost.pi_plus * (w @ np.where(bq > 0, absq ** cost.b_plus, 0.0)))
-        got = limitlaw._functional_E(gauss_equal_pair, cost, gauss_grid, 0.0)(bq)
+        got = limitlaw._functional_E(gauss_equal_pair, cost, gauss_grid)(bq)
         assert np.array_equal(got, ref), cost.name
 
 
@@ -1090,7 +1098,7 @@ def test_path_iteration_leaves_no_thread(gauss_equal_pair):
         break
     assert threading.active_count() == start
 
-    def failing(pair, cost, grid, p):
+    def failing(pair, cost, grid):
         calls = []
 
         def functional(bq):
@@ -1122,5 +1130,6 @@ def test_functional_one_sample_matches_out_of_place_power(gauss_grid, gauss_equa
     bx = np.random.default_rng(5).standard_normal((gauss_grid.m, 64))
     bx[::7, ::3] = 0.0
     for p in (1.0, 1.5, 1.9):
-        got = limitlaw._functional_one_sample(gauss_equal_pair, None, gauss_grid, p)(bx)
+        got = limitlaw._functional_one_sample(gauss_equal_pair, wc.power_cost(p),
+                                              gauss_grid)(bx)
         assert np.array_equal(got, gauss_grid.weights @ (np.abs(bx) ** p)), p

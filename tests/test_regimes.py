@@ -6,6 +6,8 @@ exactly once, and every limit draw goes through ``Regime.draw``.
 """
 
 import ast
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -111,7 +113,7 @@ def test_load_config_keeps_dataclass_defaults(tmp_path):
     defaults = ExperimentConfig(pair=config.pair, cost=config.cost, theorem=None,
                                 n=10, replications=1, seed=3)
     assert config.theorem == "equal"
-    for key in ("grid_m", "grid_delta", "n_sim", "p", "tail_policy", "check_policy"):
+    for key in ("grid_m", "grid_delta", "n_sim", "tail_policy", "check_policy"):
         assert getattr(config, key) == getattr(defaults, key), key
     assert (config.grid_m, config.grid_delta) == limitlaw.DEFAULT_GRID
 
@@ -249,6 +251,78 @@ def test_each_regime_names_the_process_it_reads():
     assert reads == {"equal": limitlaw.READS_BQ, "quadratic": limitlaw.READS_BQ,
                      "gaussian": limitlaw.READS_BQ, "mixed": limitlaw.READS_BQ,
                      "one_sample": limitlaw.READS_X}
+
+
+def test_every_regime_callable_takes_the_same_parameters():
+    # one signature a callable across the table; the one-sample exponent
+    # comes from its power cost, so nothing takes p
+    def params(fn):
+        return tuple(inspect.signature(fn).parameters)
+    got = {name: {params(getattr(r, name)) for r in wc.REGIMES.values()}
+           for name in ("check", "rate", "functional", "edge_terms")}
+    assert got == {"check": {("pair", "cost")}, "rate": {("n", "cost")},
+                   "functional": {("pair", "cost", "grid")},
+                   "edge_terms": {("pair", "cost", "side")}}
+    assert params(limitlaw.Regime.gate) == ("self", "pair", "cost", "override", "what")
+    assert params(limitlaw.Regime.draw) == ("self", "pair", "cost", "grid", "n_sim", "seed",
+                                            "tail_frac")
+    assert params(limitlaw.Regime.simulate) == ("self", "pair", "cost", "grid_shape",
+                                                "n_sim", "seed", "tail_frac")
+    assert "p" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("cost", [None, wc.asymmetric_power_cost((1.0, 2.0), (1.5, 1.5)),
+                                  wc.pinball_cost(0.3), wc.power_cost(2.0)],
+                         ids=["none", "asymmetric", "pinball", "power(2)"])
+def test_one_sample_requires_a_power_cost_below_two(cost):
+    # the statistic is the W_p^p contrast of |x|^p, 1 <= p < 2: the checker
+    # rejects any other cost, with or without override, where a missing p
+    # once drew |x|^0 and an asymmetric cost was ignored
+    pair = wc.equal_pair(wc.gaussian())
+    for override in (False, True):
+        with pytest.raises(ValidationError, match="power cost"):
+            wc.REGIMES["one_sample"].gate(pair, cost, override)
+
+
+def _one_sample_spec(**extra) -> dict:
+    return {"seed": 3, "n": 60, "replications": 3, "n_sim": 20, "theorem": "one_sample",
+            "grid": {"m": 31, "delta": 1e-3}, "pair": {"x": {"family": "gaussian"}},
+            **extra}
+
+
+@pytest.mark.parametrize("extra", [
+    {"cost": _power(2), "p": 1.5},
+    {"cost": _power(1.5), "p": 1.0},
+    {"cost": _power(1.5), "p": True},
+    {"cost": _power(1.5), "p": "1.5"},
+    {"cost": {"family": "asymmetric", "a": [1, 2], "b": [1.5, 1.5]}, "p": 1.5},
+    {"cost": {"family": "asymmetric", "a": [1, 2], "b": [1.5, 1.5]}},
+    {"cost": {"family": "pinball", "alpha": 0.3}},
+    {"cost": _power(2)},
+], ids=["p 1.5 with power 2", "p 1 with power 1.5", "p true", "p string",
+        "p with asymmetric", "asymmetric", "pinball", "power 2"])
+@pytest.mark.parametrize("command", ["study", "check"])
+def test_one_sample_config_without_its_power_cost_exits_2(tmp_path, capsys, extra, command):
+    cfg = _write(tmp_path / "c.yaml", _one_sample_spec(**extra))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "power cost" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", [None, 1, 1.0])
+def test_one_sample_config_reads_p_from_its_cost(tmp_path, p):
+    # a p equal to the power cost's exponent still loads, as the bench's
+    # one-sample study writes it; study.json records the cost alone
+    extra = {} if p is None else {"p": p}
+    cfg = _write(tmp_path / "c.yaml", _one_sample_spec(cost=_power(1), **extra))
+    config = load_config(cfg)
+    assert config.cost.b == 1.0
+    out = tmp_path / "out"
+    assert cli.main(["study", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "study.json").read_text())
+    assert summary["config"]["cost"] == "power(1)"
+    assert "p" not in summary["config"]
 
 
 def _names(path):
