@@ -244,7 +244,7 @@ def _growth_combo(dist: DistSpec, cost: CostSpec, side: str, branch: str,
     records its probe range; CFG_D(ii) passes b = 1."""
     if not dist.tail_applicable(side):
         return _vacuous(label, "tail beyond the support: condition holds trivially", params)
-    y_lo = float(dist.psi_plus(cost.y0) if side == RIGHT else dist.psi_minus(cost.y0))
+    y_lo = float(dist.psi(side, cost.y0))
     if not np.isfinite(y_lo):
         return _vacuous(label, "bounded support: cost tail regime unreachable", params)
     ys = _probe_ys(max(y_lo, 1.5))

@@ -7,8 +7,6 @@ compatibility checkers consume:
 
 * ``b_minus, b_plus`` — power indices of the branches near 0, with slowly
   varying factors ``L_minus, L_plus`` (``rho_pm(x) = x**b_pm * L_pm(x)``);
-* ``gamma_minus, gamma_plus`` — indices of the log-cost ``l_pm = log rho_pm``
-  at infinity (0 for polynomial growth);
 * ``pi_minus, pi_plus`` — limits of ``rho_pm / rho`` at 0, where
   ``rho = max(rho_minus, rho_plus)`` is the normalizing envelope;
 * ``x0 < y0`` — crossover abscissae separating the near-0 and near-infinity
@@ -65,8 +63,6 @@ class CostSpec:
     b_plus: float
     L_minus: Callable[[np.ndarray], np.ndarray]
     L_plus: Callable[[np.ndarray], np.ndarray]
-    gamma_minus: float = 0.0
-    gamma_plus: float = 0.0
     pi_minus: float = 1.0
     pi_plus: float = 1.0
     x0: float = 1.0
@@ -223,8 +219,6 @@ def _validate_metadata(spec: CostSpec) -> None:
             f"cost {spec.name}: branch indices must satisfy b_pm >= 1 ((C2)); "
             f"got ({spec.b_minus}, {spec.b_plus})"
         )
-    if spec.gamma_minus < 0 or spec.gamma_plus < 0:
-        raise ValidationError(f"cost {spec.name}: gamma_pm must be >= 0 ((C3))")
     if not (0.0 < spec.x0 < spec.y0):
         raise ValidationError(f"cost {spec.name}: require 0 < x0 < y0")
     for side, b, L0 in (("-", spec.b_minus, spec.L0_minus), ("+", spec.b_plus, spec.L0_plus)):
@@ -250,36 +244,6 @@ def _pi_from_max(a_minus: float, a_plus: float, b_minus: float, b_plus: float):
         return 0.0, 1.0
     top = max(a_minus, a_plus)
     return a_minus / top, a_plus / top
-
-
-def power_cost(p: float) -> CostSpec:
-    """Symmetric power cost |x|^p, p >= 1."""
-    if p < 1.0:
-        raise ValidationError(f"power cost requires p >= 1 ((C2)); got {p}")
-    p = float(p)
-
-    def rho(x):
-        return np.asarray(x, dtype=float) ** p
-
-    def deriv(x):
-        return p * np.asarray(x, dtype=float) ** (p - 1.0)
-
-    def log_rho(xi):
-        return p * np.asarray(xi, dtype=float)
-
-    one = _constant_fn(1.0)
-    return _finish(CostSpec(
-        name=f"power({p:g})",
-        rho_minus=rho, rho_plus=rho,
-        b_minus=p, b_plus=p,
-        L_minus=one, L_plus=one,
-        pi_minus=1.0, pi_plus=1.0,
-        L0_minus=1.0 if p == 1.0 else None,
-        L0_plus=1.0 if p == 1.0 else None,
-        deriv_minus=deriv, deriv_plus=deriv,
-        log_rho_minus=log_rho, log_rho_plus=log_rho,
-        params={"family": "power_p", "p": p},
-    ))
 
 
 def asymmetric_power_cost(a=(1.0, 1.0), b=(1.0, 1.0)) -> CostSpec:
@@ -320,6 +284,18 @@ def asymmetric_power_cost(a=(1.0, 1.0), b=(1.0, 1.0)) -> CostSpec:
     ))
 
 
+def power_cost(p: float) -> CostSpec:
+    """Symmetric power cost |x|^p, p >= 1: the asymmetric cost with a = (1, 1), b = (p, p)."""
+    if p < 1.0:
+        raise ValidationError(f"power cost requires p >= 1 ((C2)); got {p}")
+    p = float(p)
+    return dataclasses.replace(
+        asymmetric_power_cost(a=(1.0, 1.0), b=(p, p)),
+        name=f"power({p:g})",
+        params={"family": "power_p", "p": p},
+    )
+
+
 def pinball_cost(alpha: float) -> CostSpec:
     """Quantile contrast (x - y)(alpha - 1_{x-y<0}); minimizer is the alpha-quantile."""
     if not 0.0 < alpha < 1.0:
@@ -339,7 +315,6 @@ def spliced_cost(
     *,
     b=(1.0, 1.0),
     L=None,
-    gamma=(0.0, 0.0),
     x0: float = 1.0,
     y0: float = 2.0,
     L0=(None, None),
@@ -378,7 +353,6 @@ def spliced_cost(
         rho_minus=rho_minus, rho_plus=rho_plus,
         b_minus=b_minus, b_plus=b_plus,
         L_minus=L_minus, L_plus=L_plus,
-        gamma_minus=float(gamma[0]), gamma_plus=float(gamma[1]),
         pi_minus=pi_minus, pi_plus=pi_plus,
         x0=float(x0), y0=float(y0),
         L0_minus=L0[0], L0_plus=L0[1],

@@ -1,8 +1,9 @@
 """Distributions, couplings, and paired-sample models.
 
 ``DistSpec`` packages everything the limit theory consumes: c.d.f.,
-quantile, density, density-quantile ``h = f o F^{-1}``, tail exponents
-``psi_pm(x) = -log P(X > x) / -log P(X < -x)``, and a seeded sampler.
+quantile, density, density-quantile ``h = f o F^{-1}``, the tail exponent
+``psi(side, x)`` (``-log P(X > x)`` on the right, ``-log P(X < -x)`` on the
+left), and a seeded sampler.
 
 Deep-tail quantities are exposed through a *tail-depth* API parametrized
 by ``t = -log(tail mass)``: positions, log-magnitudes and log-densities at
@@ -16,8 +17,10 @@ kernels with the formulas, loc/scale arithmetic and off-support values of
 the matching ``scipy.stats`` laws, so quantiles, c.d.f.s, log c.d.f.s and
 log s.f.s agree with them bit for bit (the beta density, exp of the log
 density, to about 1e-13) at a fraction of the call cost, and the package
-never imports ``scipy.stats``. ``dist_from_scipy`` adapts a frozen
-``scipy.stats`` law that a caller passes in.
+never imports ``scipy.stats``; ``exponential`` is ``weibull`` of shape 1.
+``log_edge_dist`` takes the same off-support values from the same builder,
+``_scaled_law``. ``dist_from_scipy`` adapts a frozen ``scipy.stats`` law
+that a caller passes in.
 
 ``PairSpec`` couples two marginals through a copula and carries the
 user-declared partition of (0,1) into intervals where the quantile
@@ -98,13 +101,14 @@ class DistSpec:
         return np.asarray(self.quantile(rng.random(int(n))), dtype=float)
 
     # -- tail exponents -------------------------------------------------
-    def psi_plus(self, x) -> np.ndarray:
-        """-log P(X > x) on the right tail."""
-        return -np.asarray(self.log_sf(np.asarray(x, dtype=float)), dtype=float)
-
-    def psi_minus(self, x) -> np.ndarray:
-        """-log P(X < -x) on the left tail."""
-        return -np.asarray(self.log_cdf(-np.asarray(x, dtype=float)), dtype=float)
+    def psi(self, side: str, x) -> np.ndarray:
+        """Tail exponent psi_side(x): -log P(X > x) on the right, -log P(X < -x)
+        on the left; +inf where that is nan."""
+        x = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore"):
+            out = -np.asarray(self.log_sf(x) if side == RIGHT else self.log_cdf(-x),
+                              dtype=float)
+        return np.where(np.isnan(out), np.inf, out)
 
     def tail_applicable(self, side: str) -> bool:
         """Whether the psi_side conditions are non-vacuous.
@@ -148,14 +152,7 @@ class DistSpec:
         xi = np.asarray(xi, dtype=float)
         with np.errstate(over="ignore"):
             x = np.exp(np.minimum(xi, 709.0))
-        x = np.where(xi > 709.0, np.inf, x)
-        if side == RIGHT:
-            with np.errstate(invalid="ignore"):
-                out = -np.asarray(self.log_sf(x), dtype=float)
-        else:
-            with np.errstate(invalid="ignore"):
-                out = -np.asarray(self.log_cdf(-x), dtype=float)
-        return np.where(np.isnan(out), np.inf, out)
+        return self.psi(side, np.where(xi > 709.0, np.inf, x))
 
 
 def _invert_log_tail(dist: DistSpec, side: str, ts: np.ndarray) -> np.ndarray:
@@ -348,18 +345,11 @@ def gaussian(loc: float = 0.0, scale: float = 1.0) -> DistSpec:
 
 
 def exponential(scale: float = 1.0) -> DistSpec:
+    """Exponential law: Weibull of shape 1, with its closed-form tail hooks."""
     if scale <= 0:
         raise ValidationError(f"exponential requires scale > 0; got {scale}")
-    median = -log1p(-0.5)
-    return _scaled_law(
-        f"exponential({scale:g})", {"family": "exponential", "scale": scale},
-        (0.0, np.inf), 0.0, scale, (),
-        cdf=lambda z: -expm1(-z), ppf=lambda q: -log1p(-q),
-        log_cdf=_median_split(lambda z: z < median, lambda z: np.log(-expm1(-z)),
-                              lambda z: np.log1p(-np.exp(-z))),
-        log_sf=lambda z: -z, pdf=lambda z: np.exp(-z), log_pdf=lambda z: -z,
-        tail_quantile_fn={RIGHT: lambda t: scale * np.asarray(t, dtype=float)},
-    )
+    return replace(weibull(1.0, scale), name=f"exponential({scale:g})",
+                   params={"family": "exponential", "scale": scale})
 
 
 def pareto(index: float, scale: float = 1.0) -> DistSpec:
@@ -566,66 +556,39 @@ def log_edge_dist(w: float) -> DistSpec:
 
     Near 0 the density-quantile decays so slowly that edge-integrability of
     bridge functionals holds only up to a finite power; used to exercise the
-    compact-support checker.
+    compact-support checker. The density is 0 at both ends of the support.
     """
     if w <= 1.0:
         raise ValidationError(f"log_edge_dist requires w > 1; got {w}")
     w = float(w)
+    median = math.exp(-math.log(2.0) ** (1.0 / w))
 
-    def cdf(x):
-        x = np.clip(np.asarray(x, dtype=float), 1e-300, 1.0)
-        return np.exp(-((-np.log(x)) ** w))
+    def log_cdf(z):
+        return -((-np.log(z)) ** w)
 
-    def log_cdf(x):
-        x = np.clip(np.asarray(x, dtype=float), 1e-300, 1.0)
-        return -((-np.log(x)) ** w)
+    def log_pdf(z):
+        # -s^w + log w + (w-1) log s + s with s = log(1/z); -inf at z = 0 and 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = -np.log(z)
+            out = -(s ** w) + math.log(w) + (w - 1.0) * np.log(s) - np.log(z)
+        return np.where((0.0 < z) & (z < 1.0), out, -np.inf)
 
-    def quantile(u):
-        u = np.asarray(u, dtype=float)
-        return np.exp(-((-np.log(u)) ** (1.0 / w)))
-
-    def density(x):
-        x = np.clip(np.asarray(x, dtype=float), 1e-300, 1.0 - 1e-16)
-        s = -np.log(x)
-        return np.exp(-(s ** w)) * w * s ** (w - 1.0) / x
-
-    def log_density(x):
-        x = np.clip(np.asarray(x, dtype=float), 1e-300, 1.0 - 1e-16)
-        s = -np.log(x)
-        return -(s ** w) + math.log(w) + (w - 1.0) * np.log(s) - np.log(x)
-
-    def density_quantile(u):
-        # h(u) = u w s^{w-1} e^{s}, s = (log(1/u))^{1/w}
-        u = np.asarray(u, dtype=float)
-        t = -np.log(u)
-        s = t ** (1.0 / w)
-        return np.exp(np.log(u) + math.log(w) + (1.0 - 1.0 / w) * np.log(t) + s)
-
-    def log_sf(x):
-        with np.errstate(divide="ignore"):
-            return np.log1p(-cdf(x))
-
-    def left_tail_quantile(t):
-        return np.exp(-(np.asarray(t, dtype=float) ** (1.0 / w)))
-
-    def left_log_density_at_depth(t):
+    def left_log_f(t):
+        # log h(u) at u = e^{-t}: h(u) = u w s^{w-1} e^{s}, s = t^{1/w}
         t = np.asarray(t, dtype=float)
         s = t ** (1.0 / w)
         return -t + math.log(w) + (1.0 - 1.0 / w) * np.log(t) + s
 
-    return DistSpec(
-        name=f"log_edge({w:g})",
-        cdf=cdf,
-        quantile=quantile,
-        density=density,
-        density_quantile=density_quantile,
-        log_density=log_density,
-        log_cdf=log_cdf,
-        log_sf=log_sf,
-        support=(0.0, 1.0),
-        params={"family": "log_edge", "w": w},
-        tail_quantile_fn={LEFT: left_tail_quantile},
-        log_density_at_depth_fn={LEFT: left_log_density_at_depth},
+    return _scaled_law(
+        f"log_edge({w:g})", {"family": "log_edge", "w": w}, (0.0, 1.0), 0.0, 1.0, (),
+        cdf=lambda z: np.exp(log_cdf(z)), log_cdf=log_cdf,
+        log_sf=_median_split(lambda z: z > median, lambda z: np.log(-expm1(log_cdf(z))),
+                             lambda z: np.log1p(-np.exp(log_cdf(z)))),
+        ppf=lambda q: np.exp(-((-np.log(q)) ** (1.0 / w))),
+        pdf=lambda z: np.exp(log_pdf(z)), log_pdf=log_pdf,
+        density_quantile=lambda u: np.exp(left_log_f(-np.log(u))),
+        tail_quantile_fn={LEFT: lambda t: np.exp(-(np.asarray(t, dtype=float) ** (1.0 / w)))},
+        log_density_at_depth_fn={LEFT: left_log_f},
     )
 
 

@@ -23,11 +23,14 @@ one ``run_clt_study`` call and is joined when it returns or raises.
 
 A YAML config holds only keys that its resolvers read, and each family's
 constructor parameters; an unknown or missing key is a ValidationError.
+A value read as a number must be an int, a float or a numeric string; a
+bool, another string or a list is a ValidationError naming the key.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import platform
@@ -439,14 +442,30 @@ def config_cost(raw: dict) -> CostSpec:
     return cost
 
 
+def _family(spec: dict, where: str, families: dict) -> tuple:
+    """A cost or distribution config's family and its parameters as numbers,
+    or lists of numbers where the constructor's default is a tuple
+    (asymmetric ``a``, ``b``); other keys are left to ``call_with_params``."""
+    params = dict(_mapping(spec, where, ("family",)))
+    family = params.pop("family")
+    factory = families.get(family) if isinstance(family, str) else None
+    signature = inspect.signature(factory).parameters if factory else {}
+    for key in params.keys() & signature.keys():
+        default = signature[key].default
+        cast = (_numbers(f"{family}.{key}", len(default)) if isinstance(default, tuple)
+                else _number(f"{family}.{key}"))
+        params[key] = cast(params[key])
+    return family, params
+
+
 def resolve_cost(spec: dict) -> CostSpec:
-    params = dict(_mapping(spec, "cost config", ("family",)))
-    return costs_mod.builtin_cost(params.pop("family"), **params)
+    family, params = _family(spec, "cost config", costs_mod._FAMILIES)
+    return costs_mod.builtin_cost(family, **params)
 
 
 def _resolve_dist(spec: dict) -> dist_mod.DistSpec:
-    params = dict(_mapping(spec, "distribution config", ("family",)))
-    return dist_mod.builtin_dist(params.pop("family"), **params)
+    family, params = _family(spec, "distribution config", dist_mod._DIST_FAMILIES)
+    return dist_mod.builtin_dist(family, **params)
 
 
 def _resolve_coupling(spec: Optional[dict]) -> CouplingSpec:
@@ -454,8 +473,8 @@ def _resolve_coupling(spec: Optional[dict]) -> CouplingSpec:
         return dist_mod.independent()
     kind = _mapping(spec, "coupling config").get("kind", "independent")
     if kind == "gaussian":
-        return dist_mod.gaussian_coupling(_mapping(spec, "gaussian coupling", ("rho",),
-                                                   ("kind",))["rho"])
+        rho = _mapping(spec, "gaussian coupling", ("rho",), ("kind",))["rho"]
+        return dist_mod.gaussian_coupling(_number("coupling.rho")(rho))
     if kind in ("independent", "comonotone"):
         _mapping(spec, f"{kind} coupling", optional=("kind",))
         return CouplingSpec(kind)
@@ -467,9 +486,11 @@ def _resolve_partition(spec) -> Optional[Partition]:
     if spec is None:
         return None
     spec = _mapping(spec, "partition config", ("breaks", "labels"), ())
-    breaks = tuple(float(b) for b in spec["breaks"])
-    labels = tuple(str(lab) for lab in spec["labels"])
-    return Partition(breaks, labels)
+    labels = spec["labels"]
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise ValidationError(f"config key 'partition.labels' must be a list of strings; "
+                              f"got {labels!r}")
+    return Partition(tuple(_numbers("partition.breaks")(spec["breaks"])), tuple(labels))
 
 
 def resolve_pair(spec: dict) -> PairSpec:
@@ -483,8 +504,9 @@ def resolve_pair(spec: dict) -> PairSpec:
     warp_spec = spec.get("warp")
     if warp_spec is not None:
         warp_spec = _mapping(warp_spec, "warp config", ("amplitude", "lo", "hi"), ())
-        lo, hi = float(warp_spec["lo"]), float(warp_spec["hi"])
-        warp, dwarp = bump_warp(float(warp_spec["amplitude"]), lo, hi)
+        amplitude, lo, hi = (_number(f"warp.{key}")(warp_spec[key])
+                             for key in ("amplitude", "lo", "hi"))
+        warp, dwarp = bump_warp(amplitude, lo, hi)
         dist_y = warped_dist(dist_x, warp, dwarp, (lo, hi))
         partition = _resolve_partition(spec.get("partition")) or Partition(
             (0.0, lo, hi, 1.0), ("E", "D", "E"))
@@ -501,21 +523,49 @@ def resolve_pair(spec: dict) -> PairSpec:
     return PairSpec(dist_x, dist_y, coupling, partition)
 
 
+def _parsed(value):
+    """A string that reads as an int or a float, parsed; any other value as it is."""
+    for parse in (int, float) if isinstance(value, str) else ():
+        try:
+            return parse(value)
+        except ValueError:
+            pass
+    return value
+
+
 def _integer(key: str) -> Callable:
     """Cast of config key ``key`` to int: ints, integral floats and strings
     that read as either pass; bools, fractions and other strings raise."""
     def cast(value) -> int:
-        for parse in (int, float) if isinstance(value, str) else ():
-            try:
-                value = parse(value)
-                break
-            except ValueError:
-                pass
+        value = _parsed(value)
         if isinstance(value, float) and value.is_integer():
             return int(value)
         if isinstance(value, int) and not isinstance(value, bool):
             return value
         raise ValidationError(f"config key {key!r} must be an integer; got {value!r}")
+    return cast
+
+
+def _number(key: str) -> Callable:
+    """Cast of config key ``key`` to float: ints, floats and strings that
+    read as either pass; bools, other strings and lists raise."""
+    def cast(value) -> float:
+        value = _parsed(value)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        raise ValidationError(f"config key {key!r} must be a number; got {value!r}")
+    return cast
+
+
+def _numbers(key: str, length: Optional[int] = None) -> Callable:
+    """Cast of config key ``key`` to a list of floats (of ``length`` items,
+    when given), each item cast as ``_number`` casts it."""
+    def cast(value) -> list:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            size = f"{length} " if length else ""
+            raise ValidationError(f"config key {key!r} must be a list of {size}numbers; "
+                                  f"got {value!r}")
+        return [_number(key)(v) for v in value]
     return cast
 
 
@@ -529,7 +579,7 @@ def load_config(path, seed_override: Optional[int] = None,
     grid = raw.get("grid", {})
     # keys left out of the file keep ExperimentConfig's defaults
     given = {"grid_m": (grid.get("m"), _integer("grid.m")),
-             "grid_delta": (grid.get("delta"), float),
+             "grid_delta": (grid.get("delta"), _number("grid.delta")),
              "n_sim": (raw.get("n_sim"), _integer("n_sim")),
              "tail_policy": (raw.get("tail_policy"), str),
              "check_policy": (raw.get("check_policy"), str)}

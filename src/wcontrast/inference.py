@@ -11,6 +11,9 @@ approximate.
 Each call takes its limit theorem, checker, rate and draws from
 ``limitlaw.select_regime`` and runs the checker once; a verdict other than
 pass raises HypothesisError unless ``override_checks`` turns it into a note.
+Draws passed in as ``sim`` must be of that theorem on the null pair, else
+ValidationError; they do not record their cost, so draws made with another
+cost go unnoticed.
 """
 
 from __future__ import annotations
@@ -100,10 +103,16 @@ def _simulated_test(regime: Regime, pair: PairSpec, cost: CostSpec, statistic: f
                     seed: int, grid: tuple, tail_frac: Optional[float],
                     notes: tuple) -> TestResult:
     """Scale the statistic by the regime's rate and compare it with ``sim``,
-    or with fresh draws of the regime's limit law when ``sim`` is None."""
+    or with fresh draws of the regime's limit law when ``sim`` is None; a
+    ``sim`` of another theorem or pair is a ValidationError (its cost is
+    not recorded, so a ``sim`` of another cost goes unnoticed)."""
     scaled = regime.rate(n, cost) * statistic
     if sim is None:
         sim = regime.simulate(pair, cost, grid, n_sim, seed, tail_frac)
+    elif (sim.theorem, sim.grid_meta.get("pair")) != (regime.label, pair.fingerprint()):
+        raise ValidationError(
+            f"precomputed draws are of {sim.theorem} on {sim.grid_meta.get('pair')}; "
+            f"this test needs {regime.label} on {pair.fingerprint()}")
     p_value = sim.upper_tail_p(scaled)
     return TestResult(
         statistic=statistic,

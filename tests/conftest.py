@@ -57,7 +57,7 @@ def exp_growth_cost(b: float, gamma: float) -> wc.CostSpec:
             return b * xi + np.exp(np.minimum(gamma * xi, 700.0))
 
     return wc.spliced_cost(
-        rho, rho, b=(b, b), gamma=(gamma, gamma),
+        rho, rho, b=(b, b),
         log_rho=(log_rho, log_rho), name=f"expcost(b={b},g={gamma})",
     )
 

@@ -224,6 +224,53 @@ def test_non_integer_config_exit_code(study_yaml, tmp_path, capsys, old, new):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("delta: 1.0e-3", "delta: abc", "grid.delta"),
+    ("x: {family: gaussian}", "x: {family: gaussian, loc: abc}", "gaussian.loc"),
+    ("x: {family: gaussian}", "x: {family: gaussian, scale: [1, 2]}", "gaussian.scale"),
+    ("x: {family: gaussian}", "x: {family: gaussian, scale: true}", "gaussian.scale"),
+    ("p: 1.5", "p: abc", "power.p"),
+    ("p: 1.5", "p: true", "power.p"),
+    ("{family: power, p: 1.5}", "{family: asymmetric, a: 5, b: [1.5, 1.5]}", "asymmetric.a"),
+    ("{family: power, p: 1.5}", "{family: asymmetric, a: [1, 1], b: [1.5]}", "asymmetric.b"),
+    ("x: {family: gaussian}", "x: {family: gaussian}\n  coupling: {kind: gaussian, rho: abc}",
+     "coupling.rho"),
+    ("x: {family: gaussian}", "x: {family: gaussian}\n  coupling: {kind: gaussian, rho: false}",
+     "coupling.rho"),
+    ("x: {family: gaussian}", "x: {family: gaussian}\n  partition: {breaks: 5, labels: [E]}",
+     "partition.breaks"),
+    ("x: {family: gaussian}",
+     "x: {family: gaussian}\n  partition: {breaks: [0, abc, 1], labels: [E, E]}",
+     "partition.breaks"),
+    ("x: {family: gaussian}", "x: {family: gaussian}\n  partition: {breaks: [0, 1], labels: 5}",
+     "partition.labels"),
+    ("x: {family: gaussian}",
+     "x: {family: gaussian}\n  warp: {amplitude: abc, lo: 0.2, hi: 0.5}", "warp.amplitude"),
+    ("x: {family: gaussian}",
+     "x: {family: gaussian}\n  warp: {amplitude: 0.1, lo: abc, hi: 0.5}", "warp.lo"),
+])
+def test_non_numeric_config_exit_code(study_yaml, tmp_path, capsys, old, new, key):
+    # a value read as a number (or a list of them) that is none exits 2 and
+    # names its key
+    cfg = tmp_path / "bad.yaml"
+    text = study_yaml.read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["study", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config key '{key}' must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numeric_strings_are_numbers(study_yaml, tmp_path):
+    cfg = tmp_path / "ok.yaml"
+    cfg.write_text(study_yaml.read_text().replace("delta: 1.0e-3", "delta: '1e-3'")
+                   .replace("x: {family: gaussian}", "x: {family: gaussian, scale: '2'}"))
+    config = wc.load_config(cfg)
+    assert config.grid_delta == 1e-3
+    assert config.pair.dist_x.name == "gaussian(0,2)"
+
+
 def test_integral_config_values_are_integers(study_yaml, tmp_path):
     cfg = tmp_path / "ok.yaml"
     cfg.write_text(study_yaml.read_text().replace("seed: 42", "seed: 42.0")

@@ -112,6 +112,23 @@ def test_builtin_metadata_symmetric_asymmetric():
     assert cost.pi_minus == cost.pi_plus == 1.0
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5])
+def test_power_cost_is_the_symmetric_asymmetric_cost(p):
+    # power(p) is asymmetric (1, 1), (p, p) renamed, and |x|^p bit for bit
+    power, asym = wc.power_cost(p), wc.asymmetric_power_cost((1, 1), (p, p))
+    xs = np.geomspace(1e-6, 1e3, 61)
+    zs = np.concatenate([-xs, xs])
+    for side in ("-", "+"):
+        assert np.array_equal(power.branch(side)(xs), asym.branch(side)(xs)), side
+        assert np.array_equal(power.l_of_log(side, np.log(xs)), asym.l_of_log(side, np.log(xs)))
+    assert np.array_equal(wc.evaluate(power, zs), np.abs(zs) ** p)
+    assert np.array_equal(wc.evaluate(power, zs), wc.evaluate(asym, zs))
+    assert np.array_equal(wc.derivative(power, zs), wc.derivative(asym, zs))
+    for name in ("b_minus", "b_plus", "pi_minus", "pi_plus", "L0_minus", "L0_plus", "x0", "y0"):
+        assert getattr(power, name) == getattr(asym, name), name
+    assert (power.name, power.params) == (f"power({p:g})", {"family": "power_p", "p": p})
+
+
 def test_pi_max_property_when_indices_equal():
     for cost in ALL_BUILTINS:
         if cost.b_minus == cost.b_plus:

@@ -6,7 +6,7 @@ from scipy import stats
 from scipy.special import betaln
 
 import wcontrast as wc
-from wcontrast.distributions import _invert_log_tail, bvn_cdf, dist_from_scipy
+from wcontrast.distributions import _DIST_FAMILIES, _invert_log_tail, bvn_cdf, dist_from_scipy
 from wcontrast.errors import DomainError, ValidationError
 
 
@@ -45,7 +45,7 @@ def test_psi_plus_matches_log_sf(builtin_dists):
         xs = np.asarray(dist.quantile(np.linspace(0.6, 1 - 1e-6, 200)), dtype=float)
         with np.errstate(divide="ignore"):
             ref = -np.log1p(-np.asarray(dist.cdf(xs), dtype=float))
-        psi = dist.psi_plus(xs)
+        psi = dist.psi("+", xs)
         ok = np.isfinite(ref)
         assert np.allclose(psi[ok], ref[ok], rtol=1e-8, atol=1e-10), name
 
@@ -138,7 +138,8 @@ def test_warped_pareto_log_magnitude_hook():
 def test_warped_exponential_log_density_beyond_warp(t):
     # no depth hooks: the log density at depth t is read at the position t,
     # beyond the warp, where it must be the base's -x (not 1 - cdf's rounding)
-    warped = wc.warped_dist(wc.exponential(), *wc.bump_warp(0.15, 0.2, 0.5), (0.2, 0.5))
+    base = dist_from_scipy("expon", stats.expon())
+    warped = wc.warped_dist(base, *wc.bump_warp(0.15, 0.2, 0.5), (0.2, 0.5))
     assert not warped.log_density_at_depth_fn
     assert float(warped.log_density_at_depth("+", t)) == pytest.approx(-t, rel=0, abs=1e-12)
 
@@ -396,6 +397,43 @@ def test_log_edge_dist_shapes():
     assert np.allclose(d.cdf(xs), us, atol=1e-12)
     h = np.asarray(d.density_quantile(us))
     assert np.allclose(h, d.density(xs), rtol=1e-9)
+
+
+# parameters of the registry's families that take required ones
+_REGISTRY_PARAMS = {"pareto": {"index": 3.0}, "weibull": {"shape": 2.0},
+                    "beta": {"a": 2.0, "b": 2.0}, "log_edge": {"w": 2.0}}
+
+
+@pytest.mark.parametrize("family", sorted(_DIST_FAMILIES))
+def test_registry_off_support_values(family):
+    # every built-in law takes scipy.stats' values off its support
+    dist = wc.builtin_dist(family, **_REGISTRY_PARAMS.get(family, {}))
+    lo, hi = dist.support
+    below = [x for x in (lo - 1.0, lo - 1e-9, -np.inf) if np.isfinite(lo) and x < lo]
+    above = [x for x in (hi + 1.0, hi + 1e-9, np.inf) if np.isfinite(hi) and x > hi]
+    for xs in (below, above):
+        xs = np.array(xs)
+        assert np.all(dist.density(xs) == 0.0), xs
+        assert np.all(dist.log_density(xs) == -np.inf), xs
+    assert np.all(dist.log_cdf(np.array(below)) == -np.inf)
+    assert np.all(dist.cdf(np.array(below)) == 0.0)
+    assert np.all(dist.log_sf(np.array(above)) == -np.inf)
+    assert np.all(dist.cdf(np.array(above)) == 1.0)
+    assert np.all(np.isnan(dist.quantile(np.array([-0.1, 1.1, -np.inf, np.inf]))))
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_exponential_depth_hooks_match_bisection(scale):
+    # exponential() takes Weibull(1)'s closed-form hooks; the generic
+    # bisection on scipy's log tails of the same law agrees on both sides
+    hooked = wc.exponential(scale)
+    generic = dist_from_scipy("expon", stats.expon(scale=scale))
+    ts = np.geomspace(1e-3, 700.0, 200)
+    for side in ("-", "+"):
+        assert np.allclose(hooked.tail_quantile(side, ts), generic.tail_quantile(side, ts),
+                           rtol=1e-12, atol=0), side
+        assert np.allclose(hooked.log_density_at_depth(side, ts),
+                           generic.log_density_at_depth(side, ts), rtol=1e-12, atol=0), side
 
 
 def test_builtin_dist_registry_and_validation():

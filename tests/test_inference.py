@@ -63,6 +63,21 @@ def test_alternative_rejects(gauss_equal_pair, gauss_shift_pair, null_draws_p15)
     assert res.p_value == pytest.approx(1 / (1 + null_draws_p15.n_sim))
 
 
+def test_precomputed_draws_must_match_the_test(gauss_equal_pair, one_sample_draws):
+    # one-sample draws are not a two-sample null, and Weibull(3) null draws
+    # are not a Gaussian null's
+    xs = wc.gaussian().sample(200, np.random.default_rng(3))
+    sample = wc.PairedSample(xs, wc.gaussian().sample(200, np.random.default_rng(4)))
+    with pytest.raises(ValidationError, match="needs equal"):
+        wc.two_sample_test(sample, gauss_equal_pair, wc.power_cost(1.5), sim=one_sample_draws)
+    weibull_pair = wc.equal_pair(wc.weibull(3.0))
+    weibull_draws = wc.REGIMES["one_sample"].draw(
+        weibull_pair, wc.power_cost(1.0), wc.build_bridge_grid(weibull_pair, 63, 1e-3),
+        200, 5, None)
+    with pytest.raises(ValidationError, match="gaussian"):
+        wc.gof_test(xs, wc.gaussian(), p=1.0, sim=weibull_draws)
+
+
 def test_p_value_monotone_and_addone(null_draws_p15):
     draws = null_draws_p15
     stats_grid = np.linspace(0, float(draws.values.max()) * 1.2, 50)
