@@ -22,8 +22,7 @@ from .harness import (ExperimentConfig, StudyResult, emit_limit_draws,
 from .inference import (TestResult, clt_alternative_distribution, gof_test,
                         two_sample_test, wp_distance_to_dist)
 from .limitlaw import (REGIMES, BridgeGrid, LimitDraws, Regime, build_bridge_grid,
-                       grid_mean_oracle_E, grid_mean_oracle_W2, select_regime,
-                       sigma2_D)
+                       grid_mean_oracle_E, select_regime, sigma2_D)
 from .seeding import derive_rng
 
 __version__ = "0.1.0"

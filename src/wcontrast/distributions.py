@@ -266,9 +266,9 @@ def _scaled_law(name: str, params: dict, support: tuple, loc: float, scale: floa
                 shapes: tuple, *, cdf, log_cdf, log_sf, ppf, pdf, log_pdf,
                 density_quantile=None, **hooks) -> DistSpec:
     """The law of ``loc + scale * Z`` from standardized formulas of ``Z``
-    on its support ``(a, b)``, with ``scipy.stats``' loc/scale arithmetic
-    and values off the support: c.d.f. 0 below and 1 above, log c.d.f. and
-    log s.f. -inf and 0, density 0, quantile nan outside [0, 1]."""
+    on its support ``(a, b)``, with ``scipy.stats``' loc/scale arithmetic and
+    values off it or at an infinite end: c.d.f. 0 below and 1 above, log c.d.f.
+    and log s.f. -inf and 0, density 0, quantile nan outside [0, 1]."""
     a, b = support
     log_scale = np.log(scale)
 
@@ -277,6 +277,9 @@ def _scaled_law(name: str, params: dict, support: tuple, loc: float, scale: floa
 
     def open_(z):
         return (a < z) & (z < b)
+
+    def closed(z):
+        return (a <= z) & (z <= b) & np.isfinite(z)
 
     def cdf_(x):
         z = standard(x)
@@ -292,22 +295,25 @@ def _scaled_law(name: str, params: dict, support: tuple, loc: float, scale: floa
 
     def density(x):
         z = standard(x)
-        return _on_support(lambda z, *s: pdf(z, *s) / scale, z, (a <= z) & (z <= b),
-                           shapes, 0.0)
+        return _on_support(lambda z, *s: pdf(z, *s) / scale, z, closed(z), shapes, 0.0)
 
     def log_density(x):
         z = standard(x)
-        return _on_support(lambda z, *s: log_pdf(z, *s) - log_scale, z,
-                           (a <= z) & (z <= b), shapes, -np.inf)
+        return _on_support(lambda z, *s: log_pdf(z, *s) - log_scale, z, closed(z),
+                           shapes, -np.inf)
 
     def quantile(u):
         q = np.asarray(u, dtype=float)
         return _on_support(lambda q, *s: ppf(q, *s) * scale + loc, q, (0 < q) & (q < 1),
                            shapes, np.nan, [(q == 0, a * scale + loc), (q == 1, b * scale + loc)])
 
-    if density_quantile is None:
-        def density_quantile(u):
-            return density(quantile(u))
+    inner = density_quantile or (lambda u: density(quantile(u)))
+
+    def density_quantile(u):
+        # h(0), h(1): the density at the ends, where a closed form may read 0 * inf
+        u = np.asarray(u, dtype=float)
+        ends = [(u == e, density(quantile(e))) for e in (0.0, 1.0) if np.any(u == e)]
+        return _on_support(inner, u, (0 < u) & (u < 1), (), np.nan, ends)
     _roundtrip_guard(quantile)
     return DistSpec(name=name, cdf=cdf_, quantile=quantile, density=density,
                     density_quantile=density_quantile, log_density=log_density,

@@ -5,7 +5,8 @@ replication, simulates the corresponding limit law once, and reports the
 two-sample Kolmogorov-Smirnov distance between the R statistics and the
 simulated draws. ``limitlaw.select_regime`` derives the limit theorem from
 the pair and the cost (a ``theorem`` label may be given and must match;
-only ``one_sample`` must be named); its checker, rate, centering and draws
+only ``one_sample`` must be named); its checker, rate (v_n, n in the
+quadratic regime; sqrt(n) where quantiles differ), centering and draws
 come from ``limitlaw.REGIMES``; a one-sample statistic is W_p^p to the X
 marginal, p = ``cost.b``. Everything is deterministic given the
 master seed: replication i uses a generator derived from (seed, "rep", i)

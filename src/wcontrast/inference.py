@@ -11,9 +11,8 @@ approximate.
 Each call takes its limit theorem, checker, rate and draws from
 ``limitlaw.select_regime`` and runs the checker once; a verdict other than
 pass raises HypothesisError unless ``override_checks`` turns it into a note.
-Draws passed in as ``sim`` must be of that theorem on the null pair, else
-ValidationError; they do not record their cost, so draws made with another
-cost go unnoticed.
+Draws passed in as ``sim`` must be of that theorem, on the null pair and
+under the test's cost, else ValidationError.
 """
 
 from __future__ import annotations
@@ -82,9 +81,9 @@ def two_sample_test(sample: PairedSample, null_pair: PairSpec, cost: CostSpec,
     """Test of equal marginal laws from paired data.
 
     The statistic is the order-statistic contrast, scaled by the rate of the
-    theorem the null pair and the cost select (v_n, or n in the quadratic
-    b = 2 regime), and compared against simulated draws of the limiting law
-    with the add-one upper-tail p-value (1 + #{draws >= s}) / (1 + N).
+    theorem the null pair and the cost select (v_n = 1/rho(1/sqrt(n)), n in
+    the quadratic regime), and compared against simulated draws of the
+    limiting law with the add-one upper-tail p-value (1 + #{draws >= s}) / (1 + N).
     """
     if not 0.0 < level < 1.0:
         raise ValidationError("level must be in (0,1)")
@@ -104,15 +103,15 @@ def _simulated_test(regime: Regime, pair: PairSpec, cost: CostSpec, statistic: f
                     notes: tuple) -> TestResult:
     """Scale the statistic by the regime's rate and compare it with ``sim``,
     or with fresh draws of the regime's limit law when ``sim`` is None; a
-    ``sim`` of another theorem or pair is a ValidationError (its cost is
-    not recorded, so a ``sim`` of another cost goes unnoticed)."""
+    ``sim`` of another theorem, pair or cost is a ValidationError."""
     scaled = regime.rate(n, cost) * statistic
     if sim is None:
         sim = regime.simulate(pair, cost, grid, n_sim, seed, tail_frac)
-    elif (sim.theorem, sim.grid_meta.get("pair")) != (regime.label, pair.fingerprint()):
+    elif ((sim.theorem, sim.grid_meta.get("pair"), sim.cost)
+          != (regime.label, pair.fingerprint(), (cost.name, cost.params))):
         raise ValidationError(
-            f"precomputed draws are of {sim.theorem} on {sim.grid_meta.get('pair')}; "
-            f"this test needs {regime.label} on {pair.fingerprint()}")
+            f"precomputed draws are of {sim.theorem} on {sim.grid_meta.get('pair')} with "
+            f"{sim.cost[0]}; the test needs {regime.label} on {pair.fingerprint()} with {cost.name}")
     p_value = sim.upper_tail_p(scaled)
     return TestResult(
         statistic=statistic,

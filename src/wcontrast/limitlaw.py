@@ -26,6 +26,9 @@ deviation of the process read.
 ``select_regime`` decides from the pair and the cost which limit theorem
 applies; its ``REGIMES`` table gives each theorem's checker, rate,
 centering, process read, limit functional and tail-bound terms of (pair, cost).
+Its five theorems take two limit forms: agreement (equal, quadratic,
+one_sample) at rate v_n = 1/rho(1/sqrt(n)), n in the quadratic regime and
+n^{p/2} one-sample; disagreement (gaussian, mixed) at sqrt(n), centred.
 ``Regime.draw`` is the one routine that draws a functional and bounds its
 tail (0 for Bq on a degenerate grid); it does not run the checker,
 ``Regime.gate`` does.
@@ -60,7 +63,6 @@ __all__ = [
     "build_bridge_grid",
     "sigma2_D",
     "grid_mean_oracle_E",
-    "grid_mean_oracle_W2",
 ]
 
 DEFAULT_GRID = (2047, 1e-4)       # (m, delta) of the bridge grid
@@ -85,7 +87,7 @@ READS_BQ = "Bq"          # the driving process B^X/h_X - B^Y/h_Y
 READS_X = "B^X/h_X"      # the X bridge alone, scaled by its density-quantile
 
 THEOREM_EQUAL = "equal"            # quantiles agree everywhere, rate v_n
-THEOREM_QUADRATIC = "quadratic"    # b = 2 regime, rate n
+THEOREM_QUADRATIC = "quadratic"    # b = 2 regime, rate v_n = n
 THEOREM_GAUSSIAN = "gaussian"      # quantiles differ, sqrt(n) CLT
 THEOREM_MIXED = "mixed"            # mixed partition, sqrt(n), shared path
 THEOREM_ONE_SAMPLE = "one_sample"  # single marginal against its own law
@@ -188,6 +190,7 @@ class LimitDraws:
     grid_meta: dict
     seed: int
     tail_bound: float
+    cost: tuple          # (name, params) of the cost drawn under
 
     @property
     def n_sim(self) -> int:
@@ -579,24 +582,23 @@ def _terms_ED(pair: PairSpec, cost: CostSpec, side: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _functional_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid):
-    """pi_- int 1_{Bq<0} |Bq|^{b_-} + pi_+ int 1_{Bq>0} |Bq|^{b_+}."""
+    """pi_- int 1_{P<0} |P|^{b_-} + pi_+ int 1_{P>0} |P|^{b_+} of the process P
+    the regime reads: Bq, or B^X/h_X for the one-sample limit."""
     w = grid.weights
+    symmetric = (cost.b_minus, cost.pi_minus) == (cost.b_plus, cost.pi_plus)
 
-    def functional(bq):
-        # powers masked in place, sharing one array when b_- = b_+; on finite
-        # values bit-identical to w @ np.where(bq < 0, |bq|^{b_-}, 0) etc.
-        absq = np.abs(bq)
-        pow_plus = absq if cost.b_plus == cost.b_minus else absq ** cost.b_plus
-        absq **= cost.b_minus
-        minus = w @ (absq * (bq < 0))
-        pow_plus *= bq > 0
+    def functional(p):
+        # powers in place (one array when b_- = b_+), summed once for a symmetric
+        # cost; else masked, on finite values bit-identical to the np.where form
+        absp = np.abs(p)
+        pow_plus = absp if cost.b_plus == cost.b_minus else absp ** cost.b_plus
+        absp **= cost.b_minus
+        if symmetric:
+            return cost.pi_plus * (w @ absp)
+        minus = w @ (absp * (p < 0))
+        pow_plus *= p > 0
         return cost.pi_minus * minus + cost.pi_plus * (w @ pow_plus)
     return functional
-
-
-def _functional_W2(pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid):
-    """int Bq(u)^2 du."""
-    return lambda bq: grid.weights @ (bq ** 2)
 
 
 def _functional_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid):
@@ -625,16 +627,6 @@ def _functional_ED(pair: PairSpec, cost: CostSpec, grid: BridgeGrid):
     return functional
 
 
-def _functional_one_sample(pair: PairSpec, cost: CostSpec, grid: BridgeGrid):
-    """int |B^X(u)/h(u)|^p du for the X marginal, p = cost.b (any coupling:
-    the X marginal is a standard bridge)."""
-    def functional(bx):
-        absx = np.abs(bx)
-        absx **= cost.b
-        return grid.weights @ absx
-    return functional
-
-
 # ---------------------------------------------------------------------------
 # regimes: the limit theorem that a (pair, cost) falls under
 # ---------------------------------------------------------------------------
@@ -658,11 +650,11 @@ class Regime:
     functional: Callable
     edge_terms: Callable
 
-    def gate(self, pair: PairSpec, cost: Optional[CostSpec], override: bool = False,
+    def gate(self, pair: PairSpec, cost: CostSpec, override: bool = False,
              what: Optional[str] = None) -> tuple:
         """Run the checker once: a verdict other than pass raises
         HypothesisError, or with ``override`` becomes the returned note."""
-        report = self.check(pair, cost)
+        report = self.check(pair, _require_cost(cost))
         if report.verdict == PASS:
             return ()
         if not override:
@@ -672,7 +664,7 @@ class Regime:
                 "the check")
         return (f"checker {report.condition} = {report.verdict} (overridden)",)
 
-    def draw(self, pair: PairSpec, cost: Optional[CostSpec], grid: BridgeGrid, n_sim: int,
+    def draw(self, pair: PairSpec, cost: CostSpec, grid: BridgeGrid, n_sim: int,
              seed: int, tail_frac: Optional[float]) -> LimitDraws:
         """n_sim unchecked draws of this theorem's functional on ``grid``,
         with the tail bound (0 for Bq on a degenerate grid, where it
@@ -681,7 +673,7 @@ class Regime:
         if n_sim < 1:
             raise ValidationError(f"limit draws require n_sim >= 1; got {n_sim}")
         values = _collect(grid, n_sim, seed, self.reads,
-                          self.functional(pair, cost, grid))
+                          self.functional(pair, _require_cost(cost), grid))
         if self.reads == READS_BQ and grid.degenerate:
             bound = 0.0
         else:
@@ -695,17 +687,23 @@ class Regime:
                     f"truncated-tail bound {bound:.3g} exceeds {tail_frac:.0%} of the median "
                     f"draw {med:.3g}; shrink delta below {grid.delta:g} or relax tail_frac")
         meta = dict(grid.summary(), normals_per_draw=_route(grid, self.reads)[0])
-        return LimitDraws(values, self.label, meta, seed, bound)
+        return LimitDraws(values, self.label, meta, seed, bound, (cost.name, cost.params))
 
-    def simulate(self, pair: PairSpec, cost: Optional[CostSpec], grid_shape: tuple,
+    def simulate(self, pair: PairSpec, cost: CostSpec, grid_shape: tuple,
                  n_sim: int, seed: int, tail_frac: Optional[float]) -> LimitDraws:
         """Unchecked draws on a fresh (m, delta) grid."""
         return self.draw(pair, cost, build_bridge_grid(pair, *grid_shape), n_sim, seed,
                          tail_frac)
 
 
-def _describe(pair: PairSpec, cost: Optional[CostSpec]) -> str:
-    return pair.fingerprint() + (f" with {cost.name}" if cost is not None else "")
+def _require_cost(cost: CostSpec) -> CostSpec:
+    if cost is None:
+        raise ValidationError("a limit law needs a cost, such as a power cost |x|^p; got None")
+    return cost
+
+
+def _describe(pair: PairSpec, cost: CostSpec) -> str:
+    return f"{pair.fingerprint()} with {cost.name}"
 
 
 def _bounded(dist: DistSpec) -> bool:
@@ -733,48 +731,49 @@ def _check_equal(pair: PairSpec, cost: CostSpec):
     return check_cfg_e(pair.dist_x, cost)
 
 
-def _check_one_sample(pair: PairSpec, cost: Optional[CostSpec]):
-    if cost is None or cost.params.get("family") != "power_p" or not 1.0 <= cost.b < 2.0:
+def _check_one_sample(pair: PairSpec, cost: CostSpec):
+    if cost.params.get("family") != "power_p" or not 1.0 <= cost.b < 2.0:
         raise ValidationError("the one-sample limit requires a power cost |x|^p, "
-                              f"1 <= p < 2; got {cost and cost.name}")
+                              f"1 <= p < 2; got {cost.name}")
     p = cost.b
     return check_pareto_dominance(pair.dist_x, 2.0 * (p + 2.0) / (2.0 - p))
+
+
+def _agreement(label: str, applies: Callable, check: Callable, reads: str) -> Regime:
+    """``_functional_E`` of the process ``reads`` at rate v_n, uncentred."""
+    return Regime(label, applies, check, lambda n, cost: rate_vn(cost, n), False, reads,
+                  _functional_E, lambda pair, cost, side: _terms_E(cost))
+
+
+def _disagreement(label: str, applies: Callable) -> Regime:
+    """``_functional_ED`` of Bq at rate sqrt(n), centred at W(F, G)."""
+    return Regime(label, applies, lambda pair, cost: check_cfg_ed(pair, cost),
+                  lambda n, cost: math.sqrt(n), True, READS_BQ, _functional_ED, _terms_ED)
 
 
 # Checkers and ``_edge_bound`` are called through their module-level names,
 # looked up at call time, so a wrapper set on such a name sees every call.
 REGIMES = {r.label: r for r in (
-    Regime(THEOREM_EQUAL,
-           lambda pair, cost: pair.partition.is_all_E and (_bounded(pair.dist_x)
-                                                           or cost.b < 2.0),
-           _check_equal, lambda n, cost: rate_vn(cost, n), False,
-           READS_BQ, _functional_E, lambda pair, cost, side: _terms_E(cost)),
-    Regime(THEOREM_QUADRATIC,
-           lambda pair, cost: (pair.partition.is_all_E and not _bounded(pair.dist_x)
-                               and _is_quadratic_near_zero(cost)),
-           lambda pair, cost: check_w2_hypotheses(pair.dist_x),
-           lambda n, cost: float(n), False, READS_BQ, _functional_W2,
-           lambda pair, cost, side: ((1.0, 2.0, None),)),
-    Regime(THEOREM_GAUSSIAN,
-           lambda pair, cost: pair.partition.has_D and (
-               cost.b > 1.0 or (cost.b == 1.0 and pair.partition.is_all_D)),
-           lambda pair, cost: check_cfg_ed(pair, cost),
-           lambda n, cost: math.sqrt(n), True,
-           READS_BQ, _functional_ED, _terms_ED),
-    Regime(THEOREM_MIXED,
-           lambda pair, cost: (pair.partition.has_D and pair.partition.has_E
-                               and cost.b == 1.0 and _finite_L0(cost)),
-           lambda pair, cost: check_cfg_ed(pair, cost),
-           lambda n, cost: math.sqrt(n), True,
-           READS_BQ, _functional_ED, _terms_ED),
+    _agreement(THEOREM_EQUAL,
+               lambda pair, cost: pair.partition.is_all_E and (_bounded(pair.dist_x)
+                                                               or cost.b < 2.0),
+               _check_equal, READS_BQ),
+    _agreement(THEOREM_QUADRATIC,
+               lambda pair, cost: (pair.partition.is_all_E and not _bounded(pair.dist_x)
+                                   and _is_quadratic_near_zero(cost)),
+               lambda pair, cost: check_w2_hypotheses(pair.dist_x), READS_BQ),
+    _disagreement(THEOREM_GAUSSIAN,
+                  lambda pair, cost: pair.partition.has_D and (
+                      cost.b > 1.0 or (cost.b == 1.0 and pair.partition.is_all_D))),
+    _disagreement(THEOREM_MIXED,
+                  lambda pair, cost: (pair.partition.has_D and pair.partition.has_E
+                                      and cost.b == 1.0 and _finite_L0(cost))),
     # chosen only by its label
-    Regime(THEOREM_ONE_SAMPLE, lambda pair, cost: False, _check_one_sample,
-           lambda n, cost: n ** (cost.b / 2.0), False, READS_X, _functional_one_sample,
-           lambda pair, cost, side: ((abs_moment_normal(cost.b), cost.b, None),)),
+    _agreement(THEOREM_ONE_SAMPLE, lambda pair, cost: False, _check_one_sample, READS_X),
 )}
 
 
-def select_regime(pair: PairSpec, cost: Optional[CostSpec],
+def select_regime(pair: PairSpec, cost: CostSpec,
                   theorem: Optional[str] = None) -> Regime:
     """The limit theorem that the pair and the cost fall under. A given
     ``theorem`` label must name it; ``one_sample`` is chosen only by its
@@ -820,15 +819,11 @@ def bridge_cov_kernel(pair: PairSpec, us: np.ndarray, vs: Optional[np.ndarray] =
 
 
 def grid_mean_oracle_E(pair: PairSpec, cost: CostSpec, grid: BridgeGrid) -> float:
-    """E of the equal-marginals functional on the grid: the sum over its
+    """E of the agreement functional of Bq on the grid: the sum over its
     edge terms (coef, b) of coef * sigma(u)^b under the exact pointwise
     variance."""
     sd = np.sqrt(grid.var_bridge_diag)
     return sum(coef * float(grid.weights @ sd ** b) for coef, b, _ in _terms_E(cost))
-
-
-def grid_mean_oracle_W2(pair: PairSpec, grid: BridgeGrid) -> float:
-    return float(grid.weights @ grid.var_bridge_diag)
 
 
 # ---------------------------------------------------------------------------

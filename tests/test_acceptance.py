@@ -13,7 +13,7 @@ from scipy import stats
 from tests.conftest import w1_cdf_distance
 import wcontrast as wc
 from wcontrast.harness import ExperimentConfig, run_clt_study
-from wcontrast.limitlaw import build_bridge_grid, grid_mean_oracle_W2
+from wcontrast.limitlaw import build_bridge_grid, grid_mean_oracle_E
 
 SEED = 20240811
 
@@ -81,7 +81,7 @@ def test_criterion_4_quadratic_regime():
     )
     res = run_clt_study(config)
     grid = build_bridge_grid(pair, m=2047, delta=1e-4)
-    oracle = grid_mean_oracle_W2(pair, grid)
+    oracle = grid_mean_oracle_E(pair, wc.power_cost(2), grid)
     mean = float(res.draws.values.mean())
     ok = res.ks_distance <= 0.06 and abs(mean / oracle - 1) <= 0.03
     _report(4, ok, f"KS = {res.ks_distance:.4f} (<= 0.06), draw mean = {mean:.4f} "

@@ -69,6 +69,17 @@ def test_rate_vn_examples():
     assert wc.rate_vn(wc.power_cost(2), 400) == pytest.approx(400.0, rel=1e-12)
 
 
+def test_rate_vn_of_a_power_cost_is_n_to_the_p_over_2():
+    # the rate of the quadratic and one-sample limits, which used n and
+    # n^{p/2} of their own: within 2 eps relative, for every n <= 5000
+    eps = np.finfo(float).eps
+    for p in (1.0, 1.5, 2.0):
+        cost = wc.power_cost(p)
+        for n in range(2, 5001):
+            want = float(n) if p == 2.0 else n ** (p / 2.0)
+            assert abs(wc.rate_vn(cost, n) - want) <= 2.0 * eps * want, (p, n)
+
+
 def test_rate_vn_b1_limit():
     # for b = 1 with L(0) = 1, sqrt(n)/v_n -> 1
     cost = wc.power_cost(1)

@@ -404,11 +404,21 @@ _REGISTRY_PARAMS = {"pareto": {"index": 3.0}, "weibull": {"shape": 2.0},
                     "beta": {"a": 2.0, "b": 2.0}, "log_edge": {"w": 2.0}}
 
 
-@pytest.mark.parametrize("family", sorted(_DIST_FAMILIES))
+@pytest.mark.parametrize("family", sorted(_DIST_FAMILIES) + ["weibull(1.5)", "beta(0.5,3)"])
 def test_registry_off_support_values(family):
-    # every built-in law takes scipy.stats' values off its support
-    dist = wc.builtin_dist(family, **_REGISTRY_PARAMS.get(family, {}))
+    # every built-in law takes scipy.stats' values off its support; at an
+    # infinite end the density is 0 (scipy's formula reads 0 * inf there),
+    # and h(0), h(1) are the density at the ends, never nan: Beta(0.5, 3)
+    # has h(0) = +inf, its true limit
+    extra = {"weibull(1.5)": wc.weibull(1.5), "beta(0.5,3)": wc.beta_dist(0.5, 3.0)}
+    dist = extra.get(family) or wc.builtin_dist(family, **_REGISTRY_PARAMS.get(family, {}))
     lo, hi = dist.support
+    ends = np.array([e for e in (lo, hi) if not np.isfinite(e)])
+    assert np.all(dist.density(ends) == 0.0) and np.all(dist.log_density(ends) == -np.inf)
+    for u in (0.0, 1.0):
+        h = dist.density_quantile(np.array([u, 0.5]))[0]
+        assert not np.isnan(h) and h == dist.density(dist.quantile(u)), u
+        assert dist.density_quantile(u) == h, u
     below = [x for x in (lo - 1.0, lo - 1e-9, -np.inf) if np.isfinite(lo) and x < lo]
     above = [x for x in (hi + 1.0, hi + 1e-9, np.inf) if np.isfinite(hi) and x > hi]
     for xs in (below, above):
@@ -490,13 +500,17 @@ def test_builtin_families_match_scipy_stats(dist, frozen):
         for pts in ((probs, rng.random(10_000)) if mine == "quantile" else (xs, inside)):
             got, want = getattr(dist, mine)(pts), getattr(frozen, theirs)(pts)
             assert np.array_equal(got, want, equal_nan=True), mine
-    # scipy's beta density raises where it is infinite (x = 0 for a < 1)
+    # scipy's beta density raises where it is infinite (x = 0 for a < 1);
+    # at +-inf scipy's Weibull formula reads 0 * inf = nan, where the
+    # density takes its limits 0 and -inf
     infinite_at_0 = frozen.dist.name == "beta" and frozen.args[0] < 1
-    finite = xs[xs != 0.0] if infinite_at_0 else xs
+    finite = xs[~np.isinf(xs) & ((xs != 0.0) | (not infinite_at_0))]
     for mine, theirs in CLOSE:
         for pts in (finite, inside):
             got, want = getattr(dist, mine)(pts), getattr(frozen, theirs)(pts)
             assert np.allclose(got, want, rtol=1e-12, atol=0, equal_nan=True), mine
+    assert np.all(dist.density(np.array([-np.inf, np.inf])) == 0.0)
+    assert np.all(dist.log_density(np.array([-np.inf, np.inf])) == -np.inf)
     h = dist.density_quantile(probs[np.isfinite(probs) & (probs > 0) & (probs < 1)])
     ref = frozen.pdf(frozen.ppf(probs[np.isfinite(probs) & (probs > 0) & (probs < 1)]))
     assert np.allclose(h, ref, rtol=1e-12, atol=0)

@@ -78,6 +78,22 @@ def test_precomputed_draws_must_match_the_test(gauss_equal_pair, one_sample_draw
         wc.gof_test(xs, wc.gaussian(), p=1.0, sim=weibull_draws)
 
 
+def test_precomputed_draws_must_match_the_test_cost(gauss_equal_pair, one_sample_draws):
+    # draws record their cost: equal draws under power(1.2) are not the
+    # null of a power(1.5) test, nor are one-sample draws with p = 1 the
+    # null of a p = 1.5 goodness-of-fit test
+    xs = wc.gaussian().sample(200, np.random.default_rng(3))
+    sample = wc.PairedSample(xs, wc.gaussian().sample(200, np.random.default_rng(4)))
+    grid = wc.build_bridge_grid(gauss_equal_pair, 63, 1e-3)
+    draws = wc.REGIMES["equal"].draw(gauss_equal_pair, wc.power_cost(1.2), grid, 200, 5, None)
+    assert draws.cost == ("power(1.2)", {"family": "power_p", "p": 1.2})
+    with pytest.raises(ValidationError, match=r"with power\(1.2\); .* with power\(1.5\)"):
+        wc.two_sample_test(sample, gauss_equal_pair, wc.power_cost(1.5), sim=draws)
+    assert wc.two_sample_test(sample, gauss_equal_pair, wc.power_cost(1.2), sim=draws).n_sim == 200
+    with pytest.raises(ValidationError, match=r"with power\(1\); .* with power\(1.5\)"):
+        wc.gof_test(xs, wc.gaussian(), p=1.5, sim=one_sample_draws)
+
+
 def test_p_value_monotone_and_addone(null_draws_p15):
     draws = null_draws_p15
     stats_grid = np.linspace(0, float(draws.values.max()) * 1.2, 50)
@@ -252,6 +268,17 @@ def test_gof_tail_gate():
     xs = np.abs(np.random.default_rng(7).standard_cauchy(100)) + 1
     with pytest.raises(HypothesisError, match="dominance"):
         wc.gof_test(xs, wc.pareto(3.0), p=1.0, n_sim=50, grid=(64, 1e-3))
+
+
+def test_one_observation_warns_in_both_tests(gauss_equal_pair, null_draws_p15,
+                                            one_sample_draws):
+    # both rates are rate_vn of the cost, which warns while 1/sqrt(n) >= x0
+    with pytest.warns(UserWarning, match="asymptotic regime not reached"):
+        res = wc.gof_test([0.3], wc.gaussian(), p=1.0, sim=one_sample_draws)
+    assert res.scaled_statistic == res.statistic
+    with pytest.warns(UserWarning, match="asymptotic regime not reached"):
+        wc.two_sample_test(wc.PairedSample([0.3], [0.1]), gauss_equal_pair,
+                           wc.power_cost(1.5), sim=null_draws_p15)
 
 
 def test_gof_size_calibration(one_sample_draws):

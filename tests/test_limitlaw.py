@@ -18,7 +18,7 @@ from wcontrast.distributions import bvn_cdf
 from wcontrast.errors import HypothesisError, NumericalError, TruncationError, ValidationError
 from wcontrast.harness import ExperimentConfig, run_clt_study
 from wcontrast.limitlaw import (READS_BQ, READS_X, bridge_cov_kernel, grid_mean_oracle_E,
-                                grid_mean_oracle_W2, iter_bridge_paths)
+                                iter_bridge_paths)
 from wcontrast.seeding import derive_rng
 from wcontrast.tails import quantile_rule
 
@@ -414,14 +414,14 @@ def test_draw_limit_E_symmetric_power_is_plain_integral(gauss_equal_pair):
 def test_draw_limit_W2_uniform_third(gauss_equal_pair):
     pair = wc.equal_pair(wc.uniform())
     grid = wc.build_bridge_grid(pair, m=511, delta=1e-4)
-    draws = wc.REGIMES["quadratic"].draw(pair, None, grid, 5000, 6, None)
-    assert grid_mean_oracle_W2(pair, grid) == pytest.approx(1 / 3, rel=1e-3)
+    draws = wc.REGIMES["quadratic"].draw(pair, wc.power_cost(2), grid, 5000, 6, None)
+    assert grid_mean_oracle_E(pair, wc.power_cost(2), grid) == pytest.approx(1 / 3, rel=1e-3)
     assert draws.values.mean() == pytest.approx(1 / 3, rel=0.03)
 
 
 def test_draw_limit_W2_checker_blocks_gaussian(gauss_equal_pair):
     with pytest.raises(HypothesisError, match="W2H"):
-        wc.REGIMES["quadratic"].gate(gauss_equal_pair, None)
+        wc.REGIMES["quadratic"].gate(gauss_equal_pair, wc.power_cost(2))
 
 
 def test_draw_limit_one_sample_uniform_mean():
@@ -536,7 +536,7 @@ def test_truncation_error_raised_when_bound_large():
     pair = wc.equal_pair(wc.weibull(3.0))
     grid = wc.build_bridge_grid(pair, m=255, delta=1e-4)
     with pytest.raises(TruncationError, match="shrink delta"):
-        wc.REGIMES["quadratic"].draw(pair, None, grid, 200, 15, tail_frac=0.05)
+        wc.REGIMES["quadratic"].draw(pair, wc.power_cost(2), grid, 200, 15, tail_frac=0.05)
 
 
 # Each regime's truncated-tail bound at delta = 1e-4, as the four per-regime
@@ -799,7 +799,8 @@ def _one_bridge_cases(bump_pair_comonotone):
     gauss = wc.equal_pair(wc.gaussian())
     return {
         "equal": (gauss, wc.power_cost(1.5), "equal", "closed-form"),
-        "quadratic": (wc.equal_pair(wc.weibull(3.0)), None, "quadratic", "closed-form"),
+        "quadratic": (wc.equal_pair(wc.weibull(3.0)), wc.power_cost(2), "quadratic",
+                      "closed-form"),
         "one_sample": (gauss, wc.power_cost(1.5), "one_sample", "closed-form"),
         "one_sample kernel": (wc.equal_pair(wc.gaussian(), wc.custom_coupling(_fgm(0.5))),
                               wc.power_cost(1.5), "one_sample", "low-rank"),
@@ -903,13 +904,16 @@ def test_two_bridge_stream(case):
 
 
 def test_functional_E_matches_where_form(gauss_grid, gauss_equal_pair):
-    # the powers are masked in place (one shared array when b_- = b_+); bit
-    # for bit the np.where form, on a block with exact zeros of both signs
+    # an asymmetric cost masks its powers in place (one shared array when
+    # b_- = b_+): bit for bit the np.where form, on a block with exact zeros
+    # of both signs. A symmetric cost sums once: bit for bit pi w @ |bq|^b,
+    # and the np.where form to rounding
     bq = np.random.default_rng(5).standard_normal((gauss_grid.m, 64))
     bq[::7, ::3] = 0.0
     bq[3, 1::5] = -0.0
     w = gauss_grid.weights
     for cost in (wc.power_cost(1.0), wc.power_cost(1.5), wc.power_cost(2.0),
+                 wc.asymmetric_power_cost((2.0, 2.0), (1.5, 1.5)),
                  wc.asymmetric_power_cost((0.5, 2.0), (1.5, 1.5)),
                  wc.asymmetric_power_cost((1.0, 2.0), (1.0, 2.0)),
                  wc.asymmetric_power_cost((0.5, 2.0), (2.5, 1.0))):
@@ -917,7 +921,11 @@ def test_functional_E_matches_where_form(gauss_grid, gauss_equal_pair):
         ref = (cost.pi_minus * (w @ np.where(bq < 0, absq ** cost.b_minus, 0.0))
                + cost.pi_plus * (w @ np.where(bq > 0, absq ** cost.b_plus, 0.0)))
         got = limitlaw._functional_E(gauss_equal_pair, cost, gauss_grid)(bq)
-        assert np.array_equal(got, ref), cost.name
+        if (cost.b_minus, cost.pi_minus) == (cost.b_plus, cost.pi_plus):
+            assert np.array_equal(got, cost.pi_plus * (w @ absq ** cost.b_plus)), cost.name
+            assert np.allclose(got, ref, rtol=1e-15, atol=0.0), cost.name
+        else:
+            assert np.array_equal(got, ref), cost.name
 
 
 def test_degenerate_grid_draws_no_normals():
@@ -1108,7 +1116,8 @@ def test_path_iteration_leaves_no_thread(gauss_equal_pair):
             return grid.weights @ bq
         return functional
     with pytest.raises(RuntimeError, match="functional failed"):
-        replace(regime, functional=failing).draw(gauss_equal_pair, None, grid, 2000, 1, None)
+        replace(regime, functional=failing).draw(gauss_equal_pair, wc.power_cost(1.5), grid,
+                                                 2000, 1, None)
     assert threading.active_count() == start
 
 
@@ -1126,10 +1135,15 @@ def test_bridges_leave_their_normals_unchanged(bump_pair_comonotone):
     assert limitlaw._markov_bridge(grid.u, grid.factor, y) is y
 
 
-def test_functional_one_sample_matches_out_of_place_power(gauss_grid, gauss_equal_pair):
+def test_functional_E_on_one_sample_block_matches_out_of_place_power(gauss_grid,
+                                                                     gauss_equal_pair):
+    # a B^X/h_X block under power(p) sums once, as the one-sample functional
+    # did: bit for bit w @ |bx|^p, and w @ bx**2 (the W2 functional) for p = 2
     bx = np.random.default_rng(5).standard_normal((gauss_grid.m, 64))
     bx[::7, ::3] = 0.0
+    w = gauss_grid.weights
     for p in (1.0, 1.5, 1.9):
-        got = limitlaw._functional_one_sample(gauss_equal_pair, wc.power_cost(p),
-                                              gauss_grid)(bx)
-        assert np.array_equal(got, gauss_grid.weights @ (np.abs(bx) ** p)), p
+        got = limitlaw._functional_E(gauss_equal_pair, wc.power_cost(p), gauss_grid)(bx)
+        assert np.array_equal(got, w @ (np.abs(bx) ** p)), p
+    got = limitlaw._functional_E(gauss_equal_pair, wc.power_cost(2.0), gauss_grid)(bx)
+    assert np.array_equal(got, w @ bx ** 2)

@@ -284,6 +284,30 @@ def test_one_sample_requires_a_power_cost_below_two(cost):
             wc.REGIMES["one_sample"].gate(pair, cost, override)
 
 
+def test_a_missing_cost_is_a_validation_error():
+    # every agreement limit reads its cost, so quadratic, which ignored it,
+    # now rejects None at the gate and at the draw, as one_sample does
+    pair = wc.equal_pair(wc.weibull(3.0))
+    grid = wc.build_bridge_grid(pair, m=15, delta=1e-3)
+    for label in ("quadratic", "one_sample"):
+        with pytest.raises(ValidationError, match="needs a cost"):
+            wc.REGIMES[label].gate(pair, None)
+        with pytest.raises(ValidationError, match="needs a cost"):
+            wc.REGIMES[label].draw(pair, None, grid, 10, 1, None)
+
+
+def test_two_limit_forms_behind_the_five_labels():
+    # agreement (equal, quadratic, one_sample) and disagreement (gaussian,
+    # mixed): one functional, rate and centering per form
+    cost = wc.power_cost(1.5)
+    form = {label: (r.functional, r.rate(400, cost), r.centred)
+            for label, r in wc.REGIMES.items()}
+    agreement = (limitlaw._functional_E, wc.rate_vn(cost, 400), False)
+    disagreement = (limitlaw._functional_ED, 20.0, True)
+    assert form == {"equal": agreement, "quadratic": agreement, "one_sample": agreement,
+                    "gaussian": disagreement, "mixed": disagreement}
+
+
 def _one_sample_spec(**extra) -> dict:
     return {"seed": 3, "n": 60, "replications": 3, "n_sim": 20, "theorem": "one_sample",
             "grid": {"m": 31, "delta": 1e-3}, "pair": {"x": {"family": "gaussian"}},
